@@ -20,10 +20,8 @@ from .params import (ConverterParams, DerivedConstants, ParamCheck, Violation,
 from .skorokhod import (DistanceBound, TimeDeformation, WarpedPath,
                         align_schedules, hybrid_distance, skorokhod_bruteforce,
                         skorokhod_uniform, skorokhod_upper_bound)
-from .stochastic import (OuIncrementLaw, ReplicaSchedule, StochConfig,
-                         StochPath, crossing_probability,
-                         inverse_quadratic_variation_time, ou_step,
-                         quadratic_variation_time, replica_generator,
+from .stochastic import (ReplicaSchedule, StochConfig, StochPath,
+                         crossing_probability, ou_step, replica_generator,
                          simulate_batch, simulate_stoch)
 from .strobe import (find_fixed_point, iterate_map, strobe_map,
                      strobe_map_derivative)
@@ -36,9 +34,8 @@ __all__ = [
     "strobe_map", "strobe_map_derivative", "find_fixed_point", "iterate_map",
     "DetPath", "DetSchedule", "on_flow", "off_flow", "on_hit_time",
     "simulate_det", "sample_path",
-    "StochConfig", "StochPath", "ReplicaSchedule", "OuIncrementLaw",
-    "ou_step", "crossing_probability", "quadratic_variation_time",
-    "inverse_quadratic_variation_time", "simulate_stoch", "simulate_batch",
+    "StochConfig", "StochPath", "ReplicaSchedule",
+    "ou_step", "crossing_probability", "simulate_stoch", "simulate_batch",
     "replica_generator",
     "TimeDeformation", "DistanceBound", "WarpedPath", "hybrid_distance",
     "align_schedules", "skorokhod_upper_bound", "skorokhod_uniform",

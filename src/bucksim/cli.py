@@ -1,25 +1,26 @@
 """Command-line front end.
 
 Subcommands: validate, strobe, simulate-det, simulate-sde, distance,
-mc-sweep.  Settings come from an optional flat key-value config file,
-overridden by repeatable `--set key=value`, overridden by dedicated flags.
-All randomness flows from the single `seed` setting.  Exit codes: 0 ok,
-2 config error, 3 domain error, 4 internal error.
+mc-sweep.  Each subcommand's flags are generated from its rows of
+configfile.COMMAND_SETTINGS; values come from an optional flat key-value
+config file, overridden by repeatable `--set key=value`, overridden by
+dedicated flags.  All randomness flows from the single `seed` setting.
+Exit codes: 0 ok, 2 config error, 3 domain error, 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
+from types import SimpleNamespace
 
 from . import __version__
-from .configfile import REQUIRED, ConfigView, apply_overrides, load_config
+from .configfile import COMMAND_SETTINGS, parse_bool, resolve
 from .deterministic import sample_path, simulate_det
 from .errors import BucksimError, ConfigError, DomainError
-from .montecarlo import McConfig, sweep
+from .montecarlo import McConfig, _has_anomaly, sweep
 from .output import atomic_write_text, csv_text, format_value, write_json
 from .params import ConverterParams, derive_constants, validate_params
 from .skorokhod import TimeDeformation, align_schedules, skorokhod_upper_bound
@@ -28,119 +29,48 @@ from .stochastic import StochConfig, simulate_stoch
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="flat key-value config file")
-    common.add_argument("--out", metavar="DIR", help="output directory for artifacts")
-    common.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    common.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
-                        dest="overrides", help="override a config key (repeatable)")
-    common.add_argument("--quiet", action="store_true", help="suppress summary output")
-    for name in ("--alpha-on", "--alpha-off", "--beta", "--x-ref"):
-        common.add_argument(name, type=float, default=None)
-
     ap = argparse.ArgumentParser(prog="bucksim",
                                  description="Switching buck-converter dynamics: "
                                              "simulation and verification")
     ap.add_argument("--version", action="version", version=f"bucksim {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("validate", parents=[common],
-                   help="check parameter admissibility and print derived constants")
-
-    sp = sub.add_parser("strobe", parents=[common],
-                        help="stroboscopic map: fixed point, derivative, iterates")
-    sp.add_argument("--x0", type=float, default=0.1)
-    sp.add_argument("--iters", type=int, default=50)
-
-    sp = sub.add_parser("simulate-det", parents=[common],
-                        help="deterministic trajectory and switching schedule")
-    sp.add_argument("--horizon", type=int, default=None)
-    sp.add_argument("--x0", type=float, default=None, help="default: the fixed point")
-    sp.add_argument("--y0", type=int, default=1, choices=(0, 1))
-    sp.add_argument("--sample-step", type=float, default=None)
-
-    sp = sub.add_parser("simulate-sde", parents=[common],
-                        help="stochastic replicas: schedules and optional trajectories")
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--horizon", type=int, default=None)
-    sp.add_argument("--replicas", type=int, default=None)
-    sp.add_argument("--bridge", dest="bridge", action="store_true", default=None)
-    sp.add_argument("--no-bridge", dest="bridge", action="store_false")
-    sp.add_argument("--emit-paths", action="store_true")
-
-    sp = sub.add_parser("distance", parents=[common],
-                        help="certified path-distance bound: one replica vs the orbit")
-    sp.add_argument("--epsilon", type=float, default=None)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--horizon", type=int, default=None)
-    sp.add_argument("--replica", type=int, default=0)
-    sp.add_argument("--grid-step", type=float, default=None)
-    sp.add_argument("--bridge", dest="bridge", action="store_true", default=None)
-    sp.add_argument("--no-bridge", dest="bridge", action="store_false")
-
-    sp = sub.add_parser("mc-sweep", parents=[common],
-                        help="Monte Carlo sweep over a noise grid with bound checks")
-    sp.add_argument("--epsilons", type=str, default=None, help="comma-separated list")
-    sp.add_argument("--nu", type=float, default=None)
-    sp.add_argument("--varsigma", type=float, default=None)
-    sp.add_argument("--frak-t", type=int, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--replicas", type=int, default=None)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--workers", type=int, default=None)
-    sp.add_argument("--batch-size", type=int, default=None)
-    sp.add_argument("--grid-step", type=float, default=None)
-    sp.add_argument("--t-cap", type=int, default=None)
-    sp.add_argument("--bridge", dest="bridge", action="store_true", default=None)
-    sp.add_argument("--no-bridge", dest="bridge", action="store_false")
+    for command, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--config", metavar="PATH", help="flat key-value config file")
+        sp.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
+                        dest="overrides", help="override a config key (repeatable)")
+        for s in COMMAND_SETTINGS[command]:
+            if s.parse is parse_bool:
+                sp.add_argument(s.flag, dest=s.name, action="store_const", const="true",
+                                help=s.help)
+                if s.key is not None:
+                    sp.add_argument("--no-" + s.flag[2:], dest=s.name,
+                                    action="store_const", const="false")
+            else:
+                sp.add_argument(s.flag, dest=s.name, help=s.help)
     return ap
 
 
-def _view(args) -> ConfigView:
-    values = load_config(args.config) if args.config else {}
-    values = apply_overrides(values, args.overrides)
-    return ConfigView(values)
+def _build(cls, s: SimpleNamespace):
+    """Instance of a config dataclass from the resolved settings of the same names."""
+    return cls(**{f.name: getattr(s, f.name) for f in fields(cls) if hasattr(s, f.name)})
 
 
-def _params(args, view: ConfigView) -> ConverterParams:
-    def pick(flag, key):
-        return flag if flag is not None else view.get_float(key, REQUIRED)
-
-    return ConverterParams(
-        alpha_on=pick(args.alpha_on, "alpha_on"),
-        alpha_off=pick(args.alpha_off, "alpha_off"),
-        beta=pick(args.beta, "beta"),
-        x_ref=pick(args.x_ref, "x_ref"),
-    )
-
-
-def _seed(args, view: ConfigView) -> int:
-    if args.seed is not None:
-        return args.seed
-    return view.get_int("seed", 0)
-
-
-def _out_dir(args, required: bool) -> Path | None:
-    if args.out is None:
+def _out_dir(s: SimpleNamespace, required: bool) -> Path | None:
+    if s.out is None:
         if required:
             raise ConfigError("this subcommand writes files; pass --out DIR")
         return None
-    return Path(args.out)
+    return Path(s.out)
 
 
-def _say(args, msg: str) -> None:
-    if not args.quiet:
+def _say(s: SimpleNamespace, msg: str) -> None:
+    if not s.quiet:
         print(msg)
 
 
-def _pick(flag, getter, key, default):
-    return flag if flag is not None else getter(key, default)
-
-
-def _cmd_validate(args) -> int:
-    view = _view(args)
-    p = _params(args, view)
+def _cmd_validate(s: SimpleNamespace) -> int:
+    p = _build(ConverterParams, s)
     check = validate_params(p)
     if not check.ok:
         for msg in check.input_errors:
@@ -151,42 +81,36 @@ def _cmd_validate(args) -> int:
         return 3
     dc = derive_constants(p)
     lines = [f"{k} = {format_value(v)}" for k, v in dc.as_dict().items()]
-    _say(args, "parameter check: ok")
-    _say(args, "\n".join(lines))
-    out = _out_dir(args, required=False)
+    _say(s, "parameter check: ok")
+    _say(s, "\n".join(lines))
+    out = _out_dir(s, required=False)
     if out is not None:
         atomic_write_text(out / "derived_constants.txt", "\n".join(lines) + "\n")
         write_json(out / "derived_constants.json", dc.as_dict())
     return 0
 
 
-def _cmd_strobe(args) -> int:
-    view = _view(args)
-    p = _params(args, view)
+def _cmd_strobe(s: SimpleNamespace) -> int:
+    p = _build(ConverterParams, s)
     dc = derive_constants(p)
     x_star, fp = find_fixed_point(p)
-    xs = iterate_map(p, args.x0, args.iters)
-    _say(args, f"x_star = {format_value(x_star)}")
-    _say(args, f"f_prime_at_star = {format_value(fp)}")
-    _say(args, f"x_border = {format_value(dc.x_border)}")
-    out = _out_dir(args, required=False)
+    xs = iterate_map(p, s.x0, s.iters)
+    _say(s, f"x_star = {format_value(x_star)}")
+    _say(s, f"f_prime_at_star = {format_value(fp)}")
+    _say(s, f"x_border = {format_value(dc.x_border)}")
+    out = _out_dir(s, required=False)
     if out is not None:
         rows = [(i, x) for i, x in enumerate(xs)]
         atomic_write_text(out / "cobweb.csv", csv_text(("iter", "x"), rows))
     return 0
 
 
-def _cmd_simulate_det(args) -> int:
-    view = _view(args)
-    p = _params(args, view)
-    horizon = _pick(args.horizon, view.get_int, "det.horizon", 10)
-    step = _pick(args.sample_step, view.get_float, "det.sample_step", 1e-3)
-    x0 = _pick(args.x0, view.get_float, "det.x0", None)
-    if x0 is None:
-        x0 = derive_constants(p).x_star
-    path = simulate_det(p, (x0, args.y0), horizon)
-    out = _out_dir(args, required=True)
-    t, x, y = sample_path(path, step)
+def _cmd_simulate_det(s: SimpleNamespace) -> int:
+    p = _build(ConverterParams, s)
+    x0 = s.x0 if s.x0 is not None else derive_constants(p).x_star
+    path = simulate_det(p, (x0, s.y0), s.horizon)
+    out = _out_dir(s, required=True)
+    t, x, y = sample_path(path, s.sample_step)
     atomic_write_text(out / "trajectory.csv", csv_text(("t", "x", "y"), zip(t, x, y)))
     sched = path.schedule
     rows = []
@@ -194,124 +118,92 @@ def _cmd_simulate_det(args) -> int:
         s_n = sched.off_to_on[i] if i < len(sched.off_to_on) else float("nan")
         rows.append((i + 1, t_n, s_n))
     atomic_write_text(out / "schedule.csv", csv_text(("n", "t_n", "s_n"), rows))
-    _say(args, f"simulated {sched.cycles} cycles over [0, {horizon}]; "
-               f"artifacts in {out}")
+    _say(s, f"simulated {sched.cycles} cycles over [0, {s.horizon}]; "
+            f"artifacts in {out}")
     return 0
 
 
-def _stoch_config(args, view: ConfigView, horizon_default: int = 10) -> StochConfig:
-    return StochConfig(
-        epsilon=_pick(args.epsilon, view.get_float, "sde.epsilon", REQUIRED),
-        dt=_pick(args.dt, view.get_float, "sde.dt", 1e-3),
-        horizon=_pick(args.horizon, view.get_int, "sde.horizon", horizon_default),
-        seed=_seed(args, view),
-        bridge_correction=_pick(args.bridge, view.get_bool, "sde.bridge_correction", True),
-    )
-
-
-def _cmd_simulate_sde(args) -> int:
-    view = _view(args)
-    p = _params(args, view)
+def _cmd_simulate_sde(s: SimpleNamespace) -> int:
+    p = _build(ConverterParams, s)
     dc = derive_constants(p)
-    cfg = _stoch_config(args, view)
+    cfg = _build(StochConfig, s)
     cfg.validate()
-    replicas = _pick(args.replicas, view.get_int, "sde.replicas", 1)
-    out = _out_dir(args, required=True)
+    out = _out_dir(s, required=True)
     rows = []
     anomalies = 0
-    for k in range(replicas):
+    for k in range(s.replicas):
         path = simulate_stoch(p, (dc.x_star, 1), cfg, replica=k)
-        s = path.schedule
-        for n in range(len(s.taus)):
-            rows.append((k, n + 1, s.taus[n], s.sigmas[n]))
-        anomalies += int(np.any(np.diff(np.concatenate([[0.0], s.sigmas])) >= 2.0))
-        if args.emit_paths:
+        sched = path.schedule
+        for n in range(len(sched.taus)):
+            rows.append((k, n + 1, sched.taus[n], sched.sigmas[n]))
+        anomalies += _has_anomaly(sched.taus, sched.sigmas)
+        if s.emit_paths:
             atomic_write_text(out / f"trajectory_{k}.csv",
                               csv_text(("t", "x", "y"), zip(path.t, path.x, path.y)))
     atomic_write_text(out / "schedule.csv",
                       csv_text(("replica", "n", "tau_n", "sigma_n"), rows))
-    _say(args, f"simulated {replicas} replica(s) at epsilon={cfg.epsilon}; "
-               f"{anomalies} with clock-spanning ON phases; artifacts in {out}")
+    _say(s, f"simulated {s.replicas} replica(s) at epsilon={cfg.epsilon}; "
+            f"{anomalies} with clock-spanning ON phases; artifacts in {out}")
     return 0
 
 
-def _cmd_distance(args) -> int:
-    view = _view(args)
-    p = _params(args, view)
+def _cmd_distance(s: SimpleNamespace) -> int:
+    p = _build(ConverterParams, s)
     dc = derive_constants(p)
-    cfg = _stoch_config(args, view)
+    cfg = _build(StochConfig, s)
     cfg.validate()
-    grid_step = _pick(args.grid_step, view.get_float, "sde.grid_step", 1e-3)
     det = simulate_det(p, (dc.x_star, 1), cfg.horizon)
-    stoch = simulate_stoch(p, (dc.x_star, 1), cfg, replica=args.replica)
+    stoch = simulate_stoch(p, (dc.x_star, 1), cfg, replica=s.replica)
     lam = align_schedules(det.schedule, stoch.schedule, float(cfg.horizon))
     method = "deformation"
     if lam is None:
         lam = TimeDeformation.identity(float(cfg.horizon))
         method = "identity"
-    bnd = skorokhod_upper_bound(det, stoch, lam, grid_step=grid_step, method=method)
-    out = _out_dir(args, required=True)
+    bnd = skorokhod_upper_bound(det, stoch, lam, grid_step=s.grid_step, method=method)
+    out = _out_dir(s, required=True)
     atomic_write_text(out / "distance.csv",
                       csv_text(("gamma", "sup_r", "bound", "method"),
                                [(bnd.gamma, bnd.sup_r, bnd.bound, bnd.method)]))
-    _say(args, f"gamma={format_value(bnd.gamma)} sup_r={format_value(bnd.sup_r)} "
-               f"bound={format_value(bnd.bound)} method={bnd.method}")
+    _say(s, f"gamma={format_value(bnd.gamma)} sup_r={format_value(bnd.sup_r)} "
+            f"bound={format_value(bnd.bound)} method={bnd.method}")
     return 0
 
 
-def _cmd_mc_sweep(args) -> int:
-    view = _view(args)
-    p = _params(args, view)
+def _cmd_mc_sweep(s: SimpleNamespace) -> int:
+    p = _build(ConverterParams, s)
     dc = derive_constants(p)
-    if args.epsilons is not None:
-        epsilons = tuple(float(tok) for tok in args.epsilons.split(",") if tok.strip())
-    else:
-        epsilons = view.get_float_list("mc.epsilons", REQUIRED)
-    cfg = McConfig(
-        epsilons=epsilons,
-        nu=_pick(args.nu, view.get_float, "mc.nu", 0.0),
-        varsigma=_pick(args.varsigma, view.get_float, "mc.varsigma", 0.8),
-        frak_t=_pick(args.frak_t, view.get_int, "mc.frak_t", 10),
-        p=_pick(args.p, view.get_float, "mc.p", 1.0),
-        replicas=_pick(args.replicas, view.get_int, "mc.replicas", 1000),
-        dt=_pick(args.dt, view.get_float, "mc.dt", 1e-3),
-        seed=_seed(args, view),
-        bridge_correction=_pick(args.bridge, view.get_bool, "mc.bridge_correction", True),
-        workers=_pick(args.workers, view.get_int, "mc.workers", 1),
-        batch_size=_pick(args.batch_size, view.get_int, "mc.batch_size", 512),
-        grid_step=_pick(args.grid_step, view.get_float, "mc.grid_step", 1e-3),
-        t_cap=_pick(args.t_cap, view.get_int, "mc.t_cap", None),
-    )
-    cfg.validate()
-    report = sweep(p, dc, cfg)
-    out = _out_dir(args, required=True)
+    report = sweep(p, dc, _build(McConfig, s))
+    out = _out_dir(s, required=True)
     atomic_write_text(out / "report.csv", report.to_csv_text())
     summary = report.summary()
     write_json(out / "summary.json", summary)
     for row in summary["per_epsilon"]:
         note = "" if row["delta_within_dplus"] else "  [delta >= delta_plus: bound not guaranteed]"
-        _say(args, f"epsilon={row['epsilon']}: T={row['t_eps']} "
-                   f"good_freq={row['good_freq']:.4f} dp_moment={row['dp_moment']:.6g} "
-                   f"bounds_ok={row['bound_dominance_ok']}{note}")
-    _say(args, f"artifacts in {out}")
+        _say(s, f"epsilon={row['epsilon']}: T={row['t_eps']} "
+                f"good_freq={row['good_freq']:.4f} dp_moment={row['dp_moment']:.6g} "
+                f"bounds_ok={row['bound_dominance_ok']}{note}")
+    _say(s, f"artifacts in {out}")
     return 0
 
 
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "strobe": _cmd_strobe,
-    "simulate-det": _cmd_simulate_det,
-    "simulate-sde": _cmd_simulate_sde,
-    "distance": _cmd_distance,
-    "mc-sweep": _cmd_mc_sweep,
+    "validate": (_cmd_validate,
+                 "check parameter admissibility and print derived constants"),
+    "strobe": (_cmd_strobe, "stroboscopic map: fixed point, derivative, iterates"),
+    "simulate-det": (_cmd_simulate_det, "deterministic trajectory and switching schedule"),
+    "simulate-sde": (_cmd_simulate_sde,
+                     "stochastic replicas: schedules and optional trajectories"),
+    "distance": (_cmd_distance, "certified path-distance bound: one replica vs the orbit"),
+    "mc-sweep": (_cmd_mc_sweep, "Monte Carlo sweep over a noise grid with bound checks"),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    run, _ = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return run(resolve(COMMAND_SETTINGS[args.command], args.config,
+                           args.overrides, vars(args)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

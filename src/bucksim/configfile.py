@@ -1,20 +1,29 @@
-"""Flat key-value run configuration.
+"""Run settings: one table of every setting, one resolver.
 
 Config files are plain text, one `key = value` assignment per line, with
 `#` comments and blank lines ignored.  Keys are namespaced with dotted
 prefixes (`sde.epsilon`, `mc.replicas`); model parameters live at the top
 level (`alpha_on`, `alpha_off`, `beta`, `x_ref`), as does `seed`.  Values
-use decimal notation.  Later assignments win within a file, command-line
-`--set key=value` overrides win over the file, and dedicated flags win
-over everything.
+use decimal notation.
+
+COMMAND_SETTINGS lists, per subcommand, one row per setting: its config key
+(or none), its command-line flag, the parser from text to value, the
+default, and a range check for the values that no library config object
+validates.  `resolve` applies default < config file < `--set key=value` <
+flag (later assignments win within a file) and turns every parse or check
+failure into a ConfigError naming the setting and where its value came
+from.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Any, Callable
 
 from .errors import ConfigError
-from .params import ConverterParams
 
 _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
@@ -46,87 +55,164 @@ def load_config(path: str | Path) -> dict[str, str]:
     return parse_config_text(text, source=str(path))
 
 
-def apply_overrides(values: dict[str, str], overrides: list[str]) -> dict[str, str]:
-    """Merge repeatable `key=value` override strings; later entries win."""
-    out = dict(values)
+def parse_overrides(overrides: list[str]) -> dict[str, str]:
+    """Repeatable `key=value` override strings as a map; later entries win."""
+    out = {}
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
+        key, sep, value = item.partition("=")
         key = key.strip()
         value = value.strip()
-        if not key or not value:
+        if not sep or not key or not value:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         out[key] = value
     return out
 
 
-class ConfigView:
-    """Typed access to the flat key-value map."""
+def parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in _TRUE:
+        return True
+    if low in _FALSE:
+        return False
+    raise ValueError("not a boolean")
 
-    def __init__(self, values: dict[str, str]):
-        self.values = values
 
-    def has(self, key: str) -> bool:
-        return key in self.values
+def _int(raw: str) -> int:
+    return int(raw, 10)
 
-    def _raw(self, key: str, default):
-        if key in self.values:
-            return self.values[key]
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required config key '{key}'")
-        return default
 
-    def get_float(self, key: str, default=None) -> float | None:
-        raw = self._raw(key, default)
-        if raw is None or isinstance(raw, (int, float)):
-            return raw
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _at_least(lo: int) -> Callable[[int], None]:
+    def check(v: int) -> None:
+        if v < lo:
+            raise ValueError(f"must be >= {lo}")
+    return check
+
+
+def _finite_positive(v: float) -> None:
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError("must be finite and > 0")
+
+
+def _mode(v: int) -> None:
+    if v not in (0, 1):
+        raise ValueError("must be 0 or 1")
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One settable value of a subcommand.
+
+    A boolean setting takes no flag argument; one that also has a config
+    key gets a `--no-...` flag as well, so a flag can undo the file.
+    """
+
+    name: str                    # attribute name of the resolved value
+    key: str | None              # config-file and --set key
+    flag: str
+    parse: Callable[[str], Any]  # raises ValueError on malformed text
+    default: Any = None
+    required: bool = False
+    check: Callable[[Any], None] | None = None  # raises ValueError when out of range
+    help: str | None = None
+
+
+_COMMON = (
+    Setting("out", None, "--out", str, help="output directory for artifacts"),
+    Setting("seed", "seed", "--seed", _int, 0, help="base RNG seed"),
+    Setting("quiet", None, "--quiet", parse_bool, False, help="suppress summary output"),
+    Setting("alpha_on", "alpha_on", "--alpha-on", float, required=True),
+    Setting("alpha_off", "alpha_off", "--alpha-off", float, required=True),
+    Setting("beta", "beta", "--beta", float, required=True),
+    Setting("x_ref", "x_ref", "--x-ref", float, required=True),
+)
+
+_SDE = (
+    Setting("epsilon", "sde.epsilon", "--epsilon", float, required=True),
+    Setting("dt", "sde.dt", "--dt", float, 1e-3),
+    Setting("horizon", "sde.horizon", "--horizon", _int, 10),
+    Setting("bridge_correction", "sde.bridge_correction", "--bridge", parse_bool, True),
+)
+
+COMMAND_SETTINGS: dict[str, tuple[Setting, ...]] = {
+    "validate": _COMMON,
+    "strobe": _COMMON + (
+        Setting("x0", None, "--x0", float, 0.1),
+        Setting("iters", None, "--iters", _int, 50, check=_at_least(0)),
+    ),
+    "simulate-det": _COMMON + (
+        Setting("horizon", "det.horizon", "--horizon", _int, 10),
+        Setting("x0", "det.x0", "--x0", float, help="default: the fixed point"),
+        Setting("y0", None, "--y0", _int, 1, check=_mode),
+        Setting("sample_step", "det.sample_step", "--sample-step", float, 1e-3,
+                check=_finite_positive),
+    ),
+    "simulate-sde": _COMMON + _SDE + (
+        Setting("replicas", "sde.replicas", "--replicas", _int, 1, check=_at_least(1)),
+        Setting("emit_paths", None, "--emit-paths", parse_bool, False),
+    ),
+    "distance": _COMMON + _SDE + (
+        Setting("replica", None, "--replica", _int, 0, check=_at_least(0)),
+        Setting("grid_step", "sde.grid_step", "--grid-step", float, 1e-3,
+                check=_finite_positive),
+    ),
+    # McConfig.validate checks every mc.* value.
+    "mc-sweep": _COMMON + (
+        Setting("epsilons", "mc.epsilons", "--epsilons", _floats, required=True,
+                help="comma-separated list"),
+        Setting("nu", "mc.nu", "--nu", float, 0.0),
+        Setting("varsigma", "mc.varsigma", "--varsigma", float, 0.8),
+        Setting("frak_t", "mc.frak_t", "--frak-t", _int, 10),
+        Setting("p", "mc.p", "--p", float, 1.0),
+        Setting("replicas", "mc.replicas", "--replicas", _int, 1000),
+        Setting("dt", "mc.dt", "--dt", float, 1e-3),
+        Setting("workers", "mc.workers", "--workers", _int, 1),
+        Setting("batch_size", "mc.batch_size", "--batch-size", _int, 512),
+        Setting("grid_step", "mc.grid_step", "--grid-step", float, 1e-3),
+        Setting("t_cap", "mc.t_cap", "--t-cap", _int),
+        Setting("bridge_correction", "mc.bridge_correction", "--bridge", parse_bool, True),
+    ),
+}
+
+KNOWN_KEYS = frozenset(s.key for rows in COMMAND_SETTINGS.values() for s in rows if s.key)
+
+
+def resolve(settings: tuple[Setting, ...], config_path: str | None,
+            overrides: list[str], flags: dict[str, str | None]) -> SimpleNamespace:
+    """Value of each setting: default < config file < `--set` < flag.
+
+    `flags` maps setting names to the raw flag text, None where the flag
+    was not given.  Keys that no subcommand knows are rejected.
+    """
+    layers = []
+    if config_path is not None:
+        layers.append((f"config file {config_path}", load_config(config_path)))
+    layers.append(("--set", parse_overrides(overrides)))
+    for source, values in layers:
+        for key in values:
+            if key not in KNOWN_KEYS:
+                raise ConfigError(f"unknown config key '{key}' in {source}")
+    out = SimpleNamespace()
+    for s in settings:
+        raw = source = None
+        for layer, values in layers:
+            if s.key in values:
+                raw, source = values[s.key], layer
+        if flags.get(s.name) is not None:
+            raw, source = flags[s.name], s.flag
+        if raw is None:
+            if s.required:
+                raise ConfigError(f"missing required config key '{s.key}'")
+            setattr(out, s.name, s.default)
+            continue
         try:
-            return float(raw)
+            value = s.parse(raw)
+            if s.check is not None:
+                s.check(value)
         except ValueError as exc:
-            raise ConfigError(f"config key '{key}': {raw!r} is not a number") from exc
-
-    def get_int(self, key: str, default=None) -> int | None:
-        raw = self._raw(key, default)
-        if raw is None or isinstance(raw, int):
-            return raw
-        try:
-            return int(str(raw), 10)
-        except ValueError as exc:
-            raise ConfigError(f"config key '{key}': {raw!r} is not an integer") from exc
-
-    def get_bool(self, key: str, default=None) -> bool | None:
-        raw = self._raw(key, default)
-        if raw is None or isinstance(raw, bool):
-            return raw
-        low = str(raw).lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigError(f"config key '{key}': {raw!r} is not a boolean")
-
-    def get_float_list(self, key: str, default=None) -> tuple[float, ...] | None:
-        raw = self._raw(key, default)
-        if raw is None or isinstance(raw, tuple):
-            return raw
-        try:
-            return tuple(float(tok) for tok in str(raw).split(",") if tok.strip())
-        except ValueError as exc:
-            raise ConfigError(f"config key '{key}': {raw!r} is not a number list") from exc
-
-    def converter_params(self) -> ConverterParams:
-        return ConverterParams(
-            alpha_on=self.get_float("alpha_on", _REQUIRED),
-            alpha_off=self.get_float("alpha_off", _REQUIRED),
-            beta=self.get_float("beta", _REQUIRED),
-            x_ref=self.get_float("x_ref", _REQUIRED),
-        )
-
-
-class _Required:
-    pass
-
-
-_REQUIRED = _Required()
-REQUIRED = _REQUIRED
+            raise ConfigError(f"{s.key or s.flag} = {raw!r} from {source}: {exc}") from None
+        setattr(out, s.name, value)
+    return out

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -234,11 +233,3 @@ def sample_path(path: DetPath, step: float) -> tuple[np.ndarray, np.ndarray, np.
     x, y = path.eval(t)
     return t, x, y
 
-
-def iter_cycles(schedule: DetSchedule) -> Iterable[tuple[int, float, float]]:
-    """Yield (n, t_n, s_n) for each complete cycle, 1-based."""
-    for i, t_n in enumerate(schedule.on_to_off):
-        if i < len(schedule.off_to_on):
-            yield i + 1, float(t_n), float(schedule.off_to_on[i])
-        else:
-            yield i + 1, float(t_n), math.nan

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
 
 from .deterministic import simulate_det
 from .errors import ConfigError, DomainError
+from .output import csv_text
 from .params import ConverterParams, DerivedConstants
 from .skorokhod import TimeDeformation, align_schedules, skorokhod_upper_bound
 from .stochastic import StochConfig, StochPath, simulate_batch
@@ -90,6 +91,8 @@ class McConfig:
     t_cap: int | None = None
 
     def validate(self) -> None:
+        if not self.epsilons:
+            raise ConfigError("epsilons must not be empty")
         for e in self.epsilons:
             if not (math.isfinite(e) and e >= 0.0):
                 raise ConfigError(f"epsilon={e!r} must be finite and >= 0")
@@ -99,16 +102,21 @@ class McConfig:
             raise ConfigError(f"varsigma={self.varsigma!r} must lie in (nu, 1)")
         if not (isinstance(self.frak_t, (int, np.integer)) and self.frak_t >= 1):
             raise ConfigError(f"frak_t={self.frak_t!r} must be an integer >= 1")
-        if self.p < 1.0:
-            raise ConfigError(f"p={self.p!r} must be >= 1")
+        if not (math.isfinite(self.p) and self.p >= 1.0):
+            raise ConfigError(f"p={self.p!r} must be finite and >= 1")
         if self.replicas < 1:
             raise ConfigError(f"replicas={self.replicas!r} must be >= 1")
         if self.workers < 1:
             raise ConfigError(f"workers={self.workers!r} must be >= 1")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size={self.batch_size!r} must be >= 1")
-        # Delegate dt checks.
-        StochConfig(epsilon=0.0, dt=self.dt, horizon=1, seed=0).validate()
+        if not (math.isfinite(self.grid_step) and self.grid_step > 0.0):
+            raise ConfigError(f"grid_step={self.grid_step!r} must be finite and > 0")
+        if self.t_cap is not None and not (isinstance(self.t_cap, (int, np.integer))
+                                           and self.t_cap >= 1):
+            raise ConfigError(f"t_cap={self.t_cap!r} must be None or an integer >= 1")
+        # Delegate the dt and seed checks.
+        StochConfig(epsilon=0.0, dt=self.dt, horizon=1, seed=self.seed).validate()
 
     def horizon_for(self, eps: float) -> int:
         """T_eps = floor(frak_t / eps^nu), at least 1, optionally capped."""
@@ -240,7 +248,7 @@ def _run_epsilon(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
     batches = [range(i, min(i + cfg.batch_size, N)) for i in range(0, N, cfg.batch_size)]
     arg_list = [(p, dc, cfg, eps, t_eps, delta, ids, want_distance) for ids in batches]
     if cfg.workers > 1 and len(arg_list) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(arg_list))) as pool:
             results = list(pool.map(_ensemble_batch_star, arg_list))
     else:
         results = [_ensemble_batch(*a) for a in arg_list]
@@ -377,12 +385,6 @@ CSV_COLUMNS = ("epsilon", "T_eps", "delta", "n", "emp_prob", "wilson_lo",
                "good_freq", "anomalies")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
 @dataclass
 class McReport:
     """Full sweep output: per-(eps, n) rows plus bound-check summary."""
@@ -390,25 +392,19 @@ class McReport:
     config: McConfig
     tables: list[BadEventTable]
     moments: list[MomentEstimate]
-    rows: list[tuple] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.rows:
-            for tab, mom in zip(self.tables, self.moments):
-                for n in range(1, tab.t_eps + 1):
-                    self.rows.append((
-                        tab.epsilon, tab.t_eps, tab.delta, n,
-                        tab.emp_prob[n - 1], tab.wilson_lo[n - 1],
-                        tab.wilson_hi[n - 1], tab.bound,
-                        mom.mean_d, mom.moment, mom.se,
-                        tab.good_freq, tab.anomaly_count,
-                    ))
+    @property
+    def rows(self) -> list[tuple]:
+        """One report.csv row per (eps, cycle n), in CSV_COLUMNS order."""
+        return [(tab.epsilon, tab.t_eps, tab.delta, n,
+                 tab.emp_prob[n - 1], tab.wilson_lo[n - 1], tab.wilson_hi[n - 1],
+                 tab.bound, mom.mean_d, mom.moment, mom.se,
+                 tab.good_freq, tab.anomaly_count)
+                for tab, mom in zip(self.tables, self.moments)
+                for n in range(1, tab.t_eps + 1)]
 
     def to_csv_text(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return csv_text(CSV_COLUMNS, self.rows)
 
     def summary(self) -> dict:
         per_eps = []

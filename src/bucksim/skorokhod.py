@@ -88,11 +88,6 @@ class TimeDeformation:
         return TimeDeformation(kt, self(inner(kt)))
 
 
-def distortion(lam: TimeDeformation) -> float:
-    """Distortion of a deformation (module-level convenience)."""
-    return lam.distortion()
-
-
 def align_schedules(det: DetSchedule, stoch: ReplicaSchedule,
                     horizon: float) -> TimeDeformation | None:
     """The schedule-matching deformation, or None when it does not exist.

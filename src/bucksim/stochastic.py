@@ -25,11 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .deterministic import MODE_OFF, MODE_ON
 from .errors import ConfigError, DomainError
 from .params import ConverterParams, require_valid
-
-MODE_ON = 1
-MODE_OFF = 0
 
 
 def ou_step(p: ConverterParams, x: float, h: float, eps: float, gauss: float) -> float:
@@ -53,26 +51,6 @@ def ou_step_sd(p: ConverterParams, h: float, eps: float) -> float:
     return eps * math.sqrt((1.0 - decay * decay) / (2.0 * p.alpha_on))
 
 
-@dataclass(frozen=True)
-class OuIncrementLaw:
-    """Coefficients of the exact ON transition over a step of length h.
-
-    Conditionally on x, the next value is
-    m + (x - m) * mean_coeff + sd * N(0, 1) with m = beta / alpha_on.
-    As h -> 0, sd -> eps * sqrt(h).
-    """
-
-    mean_coeff: float  # e^{-alpha_on h}
-    sd: float          # eps * sqrt((1 - e^{-2 alpha_on h}) / (2 alpha_on))
-
-    @staticmethod
-    def for_step(p: ConverterParams, h: float, eps: float) -> "OuIncrementLaw":
-        if h <= 0:
-            raise DomainError(f"OuIncrementLaw.for_step: h={h!r} must be > 0")
-        return OuIncrementLaw(mean_coeff=math.exp(-p.alpha_on * h),
-                              sd=ou_step_sd(p, h, eps))
-
-
 def crossing_probability(x1: float, x2: float, level: float, h: float, eps: float) -> float:
     """Brownian-bridge probability that a step with endpoints below `level` touched it.
 
@@ -87,20 +65,6 @@ def crossing_probability(x1: float, x2: float, level: float, h: float, eps: floa
     if eps == 0.0:
         return 1.0 if (x1 == level or x2 == level) else 0.0
     return math.exp(-2.0 * (level - x1) * (level - x2) / (eps * eps * h))
-
-
-def quadratic_variation_time(p: ConverterParams, t: float) -> float:
-    """Accumulated variance (e^{2 a t} - 1) / (2 a) of the ON-noise martingale."""
-    if t < 0:
-        raise DomainError(f"quadratic_variation_time: t={t!r} must be >= 0")
-    return (math.exp(2.0 * p.alpha_on * t) - 1.0) / (2.0 * p.alpha_on)
-
-
-def inverse_quadratic_variation_time(p: ConverterParams, s: float) -> float:
-    """Inverse of quadratic_variation_time: log(1 + 2 a s) / (2 a)."""
-    if s < 0:
-        raise DomainError(f"inverse_quadratic_variation_time: s={s!r} must be >= 0")
-    return math.log(1.0 + 2.0 * p.alpha_on * s) / (2.0 * p.alpha_on)
 
 
 @dataclass(frozen=True)
@@ -121,8 +85,8 @@ class StochConfig:
     stream: int = 0
 
     def steps_per_unit(self) -> int:
-        if self.dt <= 0:
-            raise ConfigError(f"dt={self.dt!r} must be > 0")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt={self.dt!r} must be finite and > 0")
         spu = round(1.0 / self.dt)
         if spu < 1 or abs(spu * self.dt - 1.0) > 1e-9:
             raise ConfigError(f"1/dt must be an integer (dt={self.dt!r})")
@@ -134,6 +98,8 @@ class StochConfig:
         self.steps_per_unit()
         if not (isinstance(self.horizon, (int, np.integer)) and self.horizon >= 0):
             raise ConfigError(f"horizon={self.horizon!r} must be a non-negative integer")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigError(f"seed={self.seed!r} must be a non-negative integer")
 
 
 def replica_generator(seed: int, replica: int, stream: int = 0) -> np.random.Generator:

@@ -3,8 +3,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bucksim.cli import main
+from bucksim.configfile import COMMAND_SETTINGS, parse_bool
 from bucksim.output import atomic_write_text, csv_text, format_value
 
 P0_CONFIG = """\
@@ -16,11 +19,30 @@ x_ref = 1.0
 seed = 42
 """
 
+# Every size at a tiny value, so a probe that wrongly passes stays fast.
+SMALL_CONFIG = P0_CONFIG + """\
+det.horizon = 1
+sde.epsilon = 0.1
+sde.dt = 0.1
+sde.horizon = 1
+mc.epsilons = 0.1
+mc.frak_t = 1
+mc.replicas = 2
+mc.dt = 0.1
+"""
+
 
 @pytest.fixture
 def cfg_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(P0_CONFIG)
+    return str(path)
+
+
+@pytest.fixture
+def small_cfg(tmp_path):
+    path = tmp_path / "small.cfg"
+    path.write_text(SMALL_CONFIG)
     return str(path)
 
 
@@ -137,17 +159,102 @@ def test_distance_output(cfg_file, tmp_path):
 
 
 def test_mc_sweep_outputs_and_determinism(cfg_file, tmp_path):
+    # Report bytes depend neither on the run nor on the batch size.
     args = ["mc-sweep", "--config", cfg_file, "--epsilons", "0.1,0.0",
-            "--frak-t", "2", "--replicas", "40", "--dt", "0.01",
-            "--batch-size", "16", "--quiet"]
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
-    header = (out1 / "report.csv").read_text().split("\n", 1)[0]
+            "--frak-t", "2", "--replicas", "120", "--dt", "0.01", "--quiet"]
+    outs = []
+    for i, batch_size in enumerate((7, 7, 100, 300)):
+        out = tmp_path / f"run{i}"
+        assert main(args + ["--batch-size", str(batch_size), "--out", str(out)]) == 0
+        outs.append(out)
+    for name in ("report.csv", "summary.json"):
+        first = (outs[0] / name).read_bytes()
+        assert all((out / name).read_bytes() == first for out in outs[1:])
+    header = (outs[0] / "report.csv").read_text().split("\n", 1)[0]
     assert header == ("epsilon,T_eps,delta,n,emp_prob,wilson_lo,wilson_hi,"
                       "bound,emp_d_mean,emp_dp_moment,dp_se,good_freq,anomalies")
+
+
+# (argv, the setting the error message must name)
+BAD_SETTINGS = [
+    (["mc-sweep", "--epsilons", "0.1,abc"], "mc.epsilons"),
+    (["mc-sweep", "--epsilons", ""], "epsilons"),
+    (["mc-sweep", "--dt", "nan"], "dt"),
+    (["simulate-sde", "--dt", "nan"], "dt"),
+    (["mc-sweep", "--seed", "-1"], "seed"),
+    (["simulate-sde", "--seed", "-1"], "seed"),
+    (["distance", "--seed", "-1"], "seed"),
+    (["simulate-det", "--sample-step", "nan"], "det.sample_step"),
+    (["distance", "--grid-step", "0"], "sde.grid_step"),
+    (["distance", "--grid-step", "nan"], "sde.grid_step"),
+    (["mc-sweep", "--grid-step", "0"], "grid_step"),
+    (["distance", "--replica", "-1"], "--replica"),
+    (["mc-sweep", "--p", "nan"], "p="),
+    (["mc-sweep", "--t-cap", "0"], "t_cap"),
+    (["mc-sweep", "--set", "mc.t_cap=-3"], "t_cap"),
+    (["simulate-sde", "--replicas", "-3"], "sde.replicas"),
+    (["strobe", "--iters", "-3"], "--iters"),
+    (["mc-sweep", "--set", "mc.replcas=5"], "mc.replcas"),
+]
+
+
+@pytest.mark.parametrize("argv,named", BAD_SETTINGS, ids=[" ".join(a) for a, _ in BAD_SETTINGS])
+def test_bad_setting_is_config_error(small_cfg, tmp_path, capsys, argv, named):
+    rc = main(argv + ["--config", small_cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and named in err
+
+
+BAD_TOKENS = ("", "abc", "nan", "inf", "-1", "0", "1e400", "0.1,abc", "1.5")
+# One tiny valid value per valued flag.
+TINY = {
+    "--seed": "3", "--alpha-on": "0.5", "--alpha-off": "0.6", "--beta": "1.2",
+    "--x-ref": "1.0", "--x0": "0.5", "--iters": "3", "--horizon": "1", "--y0": "0",
+    "--sample-step": "0.1", "--epsilon": "0.1", "--dt": "0.1", "--replicas": "2",
+    "--replica": "1", "--grid-step": "0.01", "--epsilons": "0.1", "--nu": "0.3",
+    "--varsigma": "0.8", "--frak-t": "1", "--p": "2", "--workers": "1",
+    "--batch-size": "1", "--t-cap": "1",
+}
+# Always drawn, so no run falls back to a large default.  Every bad token is
+# invalid or tiny for these, and for --workers, so no run forks many
+# processes or allocates a large grid.
+SIZE_FLAGS = {"--replicas", "--horizon", "--frak-t", "--t-cap", "--iters",
+              "--batch-size", "--dt"}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_SETTINGS)))
+    argv = [command]
+    for s in COMMAND_SETTINGS[command]:
+        if s.name == "out":
+            continue
+        if s.parse is parse_bool:
+            if draw(st.booleans()):
+                argv.append(s.flag)
+            continue
+        if s.flag not in SIZE_FLAGS and draw(st.booleans()):
+            continue
+        value = draw(st.sampled_from(BAD_TOKENS + (TINY[s.flag],)))
+        if s.key is not None and draw(st.booleans()):
+            argv += ["--set", f"{s.key}={value}"]
+        else:
+            argv += [s.flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=fuzz_argv())
+def test_fuzzed_settings_never_internal_error(tmp_path_factory, argv):
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = root / "small.cfg"
+    cfg.write_text(SMALL_CONFIG)
+    try:
+        rc = main(argv + ["--config", str(cfg), "--out", str(root / "out")])
+    except SystemExit as exc:  # argparse rejects the command line itself
+        rc = exc.code
+    assert rc in (0, 2, 3)
 
 
 def test_quiet_suppresses_stdout(cfg_file, capsys):

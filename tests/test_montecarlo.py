@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from bucksim import (ConfigError, DomainError, McConfig, bad_event_probs,
                      distance_moment, gaussian_tail, gaussian_tail_bound,
-                     sweep, wilson_interval)
+                     montecarlo, sweep, wilson_interval)
 from bucksim.montecarlo import CSV_COLUMNS
 
 
@@ -58,6 +60,11 @@ def test_mcconfig_validation():
         McConfig(epsilons=(0.1,), dt=3e-4).validate()
     with pytest.raises(ConfigError):
         McConfig(epsilons=(0.1,), frak_t=0).validate()
+    for bad in (dict(epsilons=()), dict(p=math.nan), dict(t_cap=0), dict(t_cap=2.5),
+                dict(grid_step=0.0), dict(grid_step=math.nan), dict(dt=math.nan),
+                dict(seed=-1), dict(seed=1.5)):
+        with pytest.raises(ConfigError):
+            McConfig(**{"epsilons": (0.1,), **bad}).validate()
 
 
 def test_horizon_scaling_rule():
@@ -143,14 +150,6 @@ def test_sweep_report_rows_and_csv(p0, dc0):
     assert summary["all_bounds_ok"] in (True, False)
 
 
-def test_sweep_empty_grid_ok(p0, dc0):
-    cfg = _small_cfg(epsilons=())
-    rep = sweep(p0, dc0, cfg)
-    assert rep.rows == []
-    assert rep.to_csv_text().strip() == ",".join(CSV_COLUMNS)
-    assert rep.summary()["per_epsilon"] == []
-
-
 def test_sweep_deterministic_and_worker_independent(p0, dc0):
     base = dict(epsilons=(0.05,), nu=0.0, varsigma=0.8, frak_t=2, p=1.0,
                 replicas=64, dt=1e-2, seed=13, batch_size=16)
@@ -158,6 +157,29 @@ def test_sweep_deterministic_and_worker_independent(p0, dc0):
     b = sweep(p0, dc0, McConfig(workers=1, **base)).to_csv_text()
     c = sweep(p0, dc0, McConfig(workers=2, **base)).to_csv_text()
     assert a == b == c
+
+
+def test_pool_sized_to_batches(p0, dc0, monkeypatch):
+    # Serial stand-in for the process pool: records its size, starts no process.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    cfg = _small_cfg(replicas=20, batch_size=10, workers=64)
+    bad_event_probs(p0, dc0, cfg, 0.1)
+    assert sizes == [2]
 
 
 def test_good_event_constructive_pieces(p0, dc0):

@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bucksim import (ConfigError, DomainError, OuIncrementLaw, StochConfig,
-                     border_point, crossing_probability,
-                     inverse_quadratic_variation_time, on_flow, ou_step,
-                     quadratic_variation_time, replica_generator,
+from bucksim import (ConfigError, DomainError, StochConfig, border_point,
+                     crossing_probability, on_flow, ou_step, replica_generator,
                      simulate_batch, simulate_det, simulate_stoch)
 from bucksim.stochastic import ou_step_sd
 
@@ -21,12 +19,6 @@ def test_ou_step_zero_gauss_is_conditional_mean(p0, dc0):
     h = 0.2
     mean = on_flow(p0, x, h)
     assert ou_step(p0, x, h, 0.5, 0.0) == mean
-
-
-def test_ou_increment_law_small_step_limit(p0):
-    law = OuIncrementLaw.for_step(p0, 1e-8, 0.3)
-    assert law.sd == pytest.approx(0.3 * math.sqrt(1e-8), rel=1e-6)
-    assert law.mean_coeff == pytest.approx(1.0, abs=1e-7)
 
 
 def test_ou_moments_match_exact_law(p0, dc0):
@@ -54,14 +46,6 @@ def test_crossing_probability_examples():
     assert crossing_probability(0.5, 0.6, 1.0, 0.01, 0.0) == 0.0
 
 
-def test_time_change_round_trip(p0):
-    assert quadratic_variation_time(p0, 0.0) == 0.0
-    for t in (0.5, 1.0, 5.0):
-        s = quadratic_variation_time(p0, t)
-        assert inverse_quadratic_variation_time(p0, s) == pytest.approx(t, abs=1e-12)
-    assert quadratic_variation_time(p0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-12)
-
-
 def test_config_validation(p0):
     with pytest.raises(ConfigError):
         StochConfig(epsilon=0.05, dt=3e-4).validate()  # 1/dt not an integer
@@ -69,6 +53,9 @@ def test_config_validation(p0):
         StochConfig(epsilon=-0.1).validate()
     with pytest.raises(ConfigError):
         StochConfig(epsilon=0.1, horizon=-1).validate()
+    for bad in (dict(dt=math.nan), dict(dt=math.inf), dict(seed=-1), dict(seed=1.5)):
+        with pytest.raises(ConfigError):
+            StochConfig(epsilon=0.1, **bad).validate()
     StochConfig(epsilon=0.0, dt=1e-3, horizon=5).validate()
 
 
