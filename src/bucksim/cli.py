@@ -20,12 +20,12 @@ from . import __version__
 from .configfile import COMMAND_SETTINGS, parse_bool, resolve
 from .deterministic import sample_path, simulate_det
 from .errors import BucksimError, ConfigError, DomainError
-from .montecarlo import McConfig, _has_anomaly, sweep
+from .montecarlo import McConfig, _has_anomaly, deformation_for, sweep
 from .output import atomic_write_text, csv_text, format_value, write_json
 from .params import ConverterParams, derive_constants, validate_params
-from .skorokhod import TimeDeformation, align_schedules, skorokhod_upper_bound
+from .skorokhod import skorokhod_upper_bound
 from .strobe import find_fixed_point, iterate_map
-from .stochastic import StochConfig, simulate_stoch
+from .stochastic import StochConfig, simulate_batch, simulate_stoch
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,15 +131,20 @@ def _cmd_simulate_sde(s: SimpleNamespace) -> int:
     out = _out_dir(s, required=True)
     rows = []
     anomalies = 0
-    for k in range(s.replicas):
-        path = simulate_stoch(p, (dc.x_star, 1), cfg, replica=k)
-        sched = path.schedule
-        for n in range(len(sched.taus)):
-            rows.append((k, n + 1, sched.taus[n], sched.sigmas[n]))
-        anomalies += _has_anomaly(sched.taus, sched.sigmas)
-        if s.emit_paths:
-            atomic_write_text(out / f"trajectory_{k}.csv",
-                              csv_text(("t", "x", "y"), zip(path.t, path.x, path.y)))
+    # Chunks of the default sweep batch size keep memory bounded; every
+    # replica has its own stream, so the chunking changes no byte.
+    chunk = McConfig.batch_size
+    for start in range(0, s.replicas, chunk):
+        ids = range(start, min(start + chunk, s.replicas))
+        res = simulate_batch(p, dc.x_star, cfg, ids, record_paths=s.emit_paths)
+        for b, (k, sched) in enumerate(zip(ids, res.schedules)):
+            rows.extend((k, n + 1, tau, sigma)
+                        for n, (tau, sigma) in enumerate(zip(sched.taus, sched.sigmas)))
+            anomalies += _has_anomaly(sched.taus, sched.sigmas)
+            if s.emit_paths:
+                atomic_write_text(out / f"trajectory_{k}.csv",
+                                  csv_text(("t", "x", "y"),
+                                           zip(res.grid_t, res.xs[b], res.ys[b])))
     atomic_write_text(out / "schedule.csv",
                       csv_text(("replica", "n", "tau_n", "sigma_n"), rows))
     _say(s, f"simulated {s.replicas} replica(s) at epsilon={cfg.epsilon}; "
@@ -154,11 +159,7 @@ def _cmd_distance(s: SimpleNamespace) -> int:
     cfg.validate()
     det = simulate_det(p, (dc.x_star, 1), cfg.horizon)
     stoch = simulate_stoch(p, (dc.x_star, 1), cfg, replica=s.replica)
-    lam = align_schedules(det.schedule, stoch.schedule, float(cfg.horizon))
-    method = "deformation"
-    if lam is None:
-        lam = TimeDeformation.identity(float(cfg.horizon))
-        method = "identity"
+    lam, method = deformation_for(det, stoch.schedule, float(cfg.horizon), try_align=True)
     bnd = skorokhod_upper_bound(det, stoch, lam, grid_step=s.grid_step, method=method)
     out = _out_dir(s, required=True)
     atomic_write_text(out / "distance.csv",

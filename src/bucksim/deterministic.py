@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_grid_size
 from .params import ConverterParams, require_valid
 
 MODE_ON = 1
@@ -155,6 +155,7 @@ def simulate_det(p: ConverterParams, z0: tuple[float, int], horizon: int) -> Det
     x0, y0 = z0
     if not (isinstance(horizon, (int, np.integer)) and horizon >= 0):
         raise DomainError(f"simulate_det: horizon={horizon!r} must be a non-negative integer")
+    check_grid_size(2 * horizon + 1, "simulate_det: path segments")
     if y0 not in (MODE_ON, MODE_OFF):
         raise DomainError(f"simulate_det: mode y0={y0!r} not in {{0, 1}}")
     if y0 == MODE_ON and not 0.0 < x0 < p.x_ref:
@@ -227,7 +228,9 @@ def sample_path(path: DetPath, step: float) -> tuple[np.ndarray, np.ndarray, np.
     """Sample (t, x, y) on a uniform grid of the given step plus the horizon."""
     if step <= 0:
         raise DomainError(f"sample_path: step={step!r} must be > 0")
-    n = int(math.floor(path.horizon / step + 1e-9))
+    span = path.horizon / step + 1e-9
+    check_grid_size(span + 2, "sample_path: samples")
+    n = int(math.floor(span))
     grid = np.minimum(np.arange(n + 1) * step, path.horizon)
     t = np.unique(np.append(grid, path.horizon))
     x, y = path.eval(t)

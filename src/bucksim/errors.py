@@ -3,8 +3,14 @@
 The three categories mirror the CLI exit codes: configuration problems (bad
 config files, inconsistent run options), domain problems (inputs outside an
 operation's mathematical domain), and internal inconsistencies that should
-be impossible under validated inputs.
+be impossible under validated inputs.  The one resource limit, the grid-size
+cap, lives here too: exceeding it is a configuration problem.
 """
+
+# Largest grid any one array of the engines may span: replicas x grid nodes
+# of a stochastic batch (about 25 bytes each with bridge draws and recorded
+# paths, so under 1 GB), or sample/evaluation points of one path.
+MAX_GRID_POINTS = 2 ** 25
 
 
 class BucksimError(Exception):
@@ -25,3 +31,10 @@ class InvalidParamsError(DomainError):
 
 class InternalError(BucksimError, RuntimeError):
     """State that should be unreachable under validated inputs."""
+
+
+def check_grid_size(points: float, what: str) -> None:
+    """Raise ConfigError unless a grid of `points` nodes fits under MAX_GRID_POINTS."""
+    if not points <= MAX_GRID_POINTS:
+        raise ConfigError(f"{what} exceeds the grid-size cap of {MAX_GRID_POINTS} "
+                          "points; use a coarser step or a shorter horizon")

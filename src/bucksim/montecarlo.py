@@ -17,9 +17,9 @@ timing tolerance delta = eps^varsigma and a horizon T_eps of order
     shrinks.
 
 Replicas are embarrassingly parallel (counter-based per-replica streams
-keyed by (seed, eps-index, replica)), and every aggregation is a
-deterministic fold in replica order, so report bytes are independent of
-the worker count.
+keyed by (seed, eps-index, replica)).  Each batch returns per-replica
+tallies; they are concatenated in replica order before any reduction, so
+report bytes are independent of the worker count and the batch size.
 """
 
 from __future__ import annotations
@@ -27,16 +27,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import erfc
 
-from .deterministic import simulate_det
-from .errors import ConfigError, DomainError
+from .deterministic import DetPath, simulate_det
+from .errors import ConfigError, DomainError, check_grid_size
 from .output import csv_text
 from .params import ConverterParams, DerivedConstants
 from .skorokhod import TimeDeformation, align_schedules, skorokhod_upper_bound
-from .stochastic import StochConfig, StochPath, simulate_batch
+from .stochastic import ReplicaSchedule, StochConfig, StochPath, simulate_batch
 
 SQRT2 = math.sqrt(2.0)
 TAIL_BOUND_COEFF = 3.0 / math.sqrt(2.0 * math.pi)
@@ -116,7 +117,13 @@ class McConfig:
                                            and self.t_cap >= 1):
             raise ConfigError(f"t_cap={self.t_cap!r} must be None or an integer >= 1")
         # Delegate the dt and seed checks.
-        StochConfig(epsilon=0.0, dt=self.dt, horizon=1, seed=self.seed).validate()
+        scfg = StochConfig(epsilon=0.0, dt=self.dt, horizon=1, seed=self.seed)
+        scfg.validate()
+        # Fail before any work when a batch at some eps would exceed the grid cap.
+        batch = min(self.batch_size, self.replicas)
+        for e in self.epsilons:
+            check_grid_size(batch * (self.horizon_for(e) * scfg.steps_per_unit() + 1),
+                            f"mc batch grid at epsilon={e!r}")
 
     def horizon_for(self, eps: float) -> int:
         """T_eps = floor(frak_t / eps^nu), at least 1, optionally capped."""
@@ -139,30 +146,6 @@ class McConfig:
         return len(self.epsilons)
 
 
-@dataclass
-class EpsilonStats:
-    """Raw per-noise-level ensemble tallies (deterministic given the config)."""
-
-    epsilon: float
-    t_eps: int
-    delta: float
-    replicas: int
-    bad_by_n: np.ndarray      # count of replicas whose first bad cycle is n (1-based)
-    bminus_by_n: np.ndarray   # ... with an early passage (tau < t_n - delta)
-    bplus_by_n: np.ndarray    # ... with a late passage (tau > t_n + delta)
-    anomaly_count: int        # replicas with any ON phase spanning a clock pulse
-    good_count: int
-    d_bounds: np.ndarray | None  # per-replica certified distance bounds
-
-    @property
-    def good_freq(self) -> float:
-        return self.good_count / self.replicas
-
-    @property
-    def union_prob(self) -> float:
-        return float(self.bad_by_n.sum()) / self.replicas
-
-
 def _first_bad_cycle(det_t: np.ndarray, taus: np.ndarray, delta: float,
                      t_eps: int) -> tuple[int, int]:
     """First cycle violating |tau_n - t_n| <= delta; (0, 0) when none.
@@ -170,14 +153,13 @@ def _first_bad_cycle(det_t: np.ndarray, taus: np.ndarray, delta: float,
     A missing cycle (the replica produced fewer passages than the horizon
     has cycles) counts as a late violation at the first absent index.
     """
-    for n in range(1, t_eps + 1):
-        if n > len(taus):
-            return n, +1
-        dev = taus[n - 1] - det_t[n - 1]
-        if dev < -delta:
-            return n, -1
-        if dev > delta:
-            return n, +1
+    k = min(len(taus), t_eps)
+    dev = taus[:k] - det_t[:k]
+    bad = np.flatnonzero(np.abs(dev) > delta)
+    if bad.size:
+        return int(bad[0]) + 1, (-1 if dev[bad[0]] < 0.0 else +1)
+    if k < t_eps:
+        return k + 1, +1
     return 0, 0
 
 
@@ -189,10 +171,25 @@ def _has_anomaly(taus: np.ndarray, sigmas: np.ndarray) -> bool:
     return bool(np.any(taus - starts >= 1.0))
 
 
+def deformation_for(det: DetPath, sched: ReplicaSchedule, horizon: float,
+                    try_align: bool) -> tuple[TimeDeformation, str]:
+    """The schedule-aligning deformation when asked for and it exists, else the identity.
+
+    Returns the deformation and its method name for DistanceBound.
+    """
+    lam = align_schedules(det.schedule, sched, horizon) if try_align else None
+    if lam is None:
+        return TimeDeformation.identity(horizon), "identity"
+    return lam, "deformation"
+
+
 def _ensemble_batch(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
-                    eps: float, t_eps: int, delta: float, ids: range,
-                    want_distance: bool) -> dict:
-    """Simulate one replica batch and reduce it to small per-replica tallies."""
+                    eps: float, ids: range, want_distance: bool) -> tuple[np.ndarray, ...]:
+    """Simulate one replica batch; per-replica (first_bad, bad_sign, anomaly, d_bound).
+
+    d_bound stays 0 unless want_distance.
+    """
+    t_eps, delta = cfg.horizon_for(eps), cfg.delta_for(eps)
     scfg = StochConfig(epsilon=eps, dt=cfg.dt, horizon=t_eps, seed=cfg.seed,
                        bridge_correction=cfg.bridge_correction,
                        stream=cfg.stream_for(eps))
@@ -203,78 +200,36 @@ def _ensemble_batch(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
     first_bad = np.zeros(B, dtype=int)
     bad_sign = np.zeros(B, dtype=int)
     anomaly = np.zeros(B, dtype=bool)
-    d_bound = np.zeros(B) if want_distance else None
+    d_bound = np.zeros(B)
     for b, sched in enumerate(res.schedules):
         first_bad[b], bad_sign[b] = _first_bad_cycle(det_t, sched.taus, delta, t_eps)
         anomaly[b] = _has_anomaly(sched.taus, sched.sigmas)
         if want_distance:
             z2 = StochPath(t=res.grid_t, x=res.xs[b], y=res.ys[b], schedule=sched,
                            config=scfg, replica=ids[b], level=p.x_ref)
-            lam = None
-            if first_bad[b] == 0:
-                lam = align_schedules(det.schedule, sched, float(t_eps))
-            if lam is None:
-                lam = TimeDeformation.identity(float(t_eps))
+            lam, _ = deformation_for(det, sched, float(t_eps), first_bad[b] == 0)
             d_bound[b] = skorokhod_upper_bound(det, z2, lam,
                                                grid_step=cfg.grid_step).bound
-    return {
-        "first_bad": first_bad,
-        "bad_sign": bad_sign,
-        "anomaly": anomaly,
-        "d_bound": d_bound,
-    }
+    return first_bad, bad_sign, anomaly, d_bound
 
 
-def _ensemble_batch_star(args):
-    return _ensemble_batch(*args)
-
-
-def _run_epsilon(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
-                 eps: float, want_distance: bool) -> EpsilonStats:
+def _replica_tallies(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
+                     eps: float, want_distance: bool) -> tuple[np.ndarray, ...]:
+    """(first_bad, bad_sign, anomaly, d_bound) of every replica, in replica order."""
     cfg.validate()
-    t_eps = cfg.horizon_for(eps)
-    delta = cfg.delta_for(eps)
     N = cfg.replicas
     if eps == 0.0:
         # Deterministic degeneration: no draws, no deviations, zero distance.
-        return EpsilonStats(
-            epsilon=0.0, t_eps=t_eps, delta=0.0, replicas=N,
-            bad_by_n=np.zeros(t_eps, dtype=int),
-            bminus_by_n=np.zeros(t_eps, dtype=int),
-            bplus_by_n=np.zeros(t_eps, dtype=int),
-            anomaly_count=0, good_count=N,
-            d_bounds=np.zeros(N) if want_distance else None,
-        )
+        return (np.zeros(N, dtype=int), np.zeros(N, dtype=int), np.zeros(N, dtype=bool),
+                np.zeros(N))
+    run = partial(_ensemble_batch, p, dc, cfg, eps, want_distance=want_distance)
     batches = [range(i, min(i + cfg.batch_size, N)) for i in range(0, N, cfg.batch_size)]
-    arg_list = [(p, dc, cfg, eps, t_eps, delta, ids, want_distance) for ids in batches]
-    if cfg.workers > 1 and len(arg_list) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(arg_list))) as pool:
-            results = list(pool.map(_ensemble_batch_star, arg_list))
+    if cfg.workers > 1 and len(batches) > 1:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(batches))) as pool:
+            results = list(pool.map(run, batches))
     else:
-        results = [_ensemble_batch(*a) for a in arg_list]
-
-    bad_by_n = np.zeros(t_eps, dtype=int)
-    bminus_by_n = np.zeros(t_eps, dtype=int)
-    bplus_by_n = np.zeros(t_eps, dtype=int)
-    anomaly_count = 0
-    good_count = 0
-    d_parts = []
-    for r in results:
-        fb, sg = r["first_bad"], r["bad_sign"]
-        for n in range(1, t_eps + 1):
-            at_n = fb == n
-            bad_by_n[n - 1] += int(at_n.sum())
-            bminus_by_n[n - 1] += int((at_n & (sg < 0)).sum())
-            bplus_by_n[n - 1] += int((at_n & (sg > 0)).sum())
-        good_count += int((fb == 0).sum())
-        anomaly_count += int(r["anomaly"].sum())
-        if want_distance:
-            d_parts.append(r["d_bound"])
-    d_bounds = np.concatenate(d_parts) if want_distance else None
-    return EpsilonStats(epsilon=eps, t_eps=t_eps, delta=delta, replicas=N,
-                        bad_by_n=bad_by_n, bminus_by_n=bminus_by_n,
-                        bplus_by_n=bplus_by_n, anomaly_count=anomaly_count,
-                        good_count=good_count, d_bounds=d_bounds)
+        results = [run(ids) for ids in batches]
+    return tuple(np.concatenate(parts) for parts in zip(*results))
 
 
 @dataclass(frozen=True)
@@ -310,36 +265,37 @@ class BadEventTable:
                 bool(np.all(self.emp_plus <= self.bound_plus + 3.0 * se_p)))
 
 
-def _table_from_stats(stats: EpsilonStats, dc: DerivedConstants) -> BadEventTable:
-    N = stats.replicas
-    emp = stats.bad_by_n / N
-    lo = np.empty_like(emp)
-    hi = np.empty_like(emp)
-    for i, k in enumerate(stats.bad_by_n):
+def _bad_event_table(dc: DerivedConstants, cfg: McConfig, eps: float,
+                     first_bad: np.ndarray, bad_sign: np.ndarray,
+                     anomaly: np.ndarray) -> BadEventTable:
+    t_eps, delta, N = cfg.horizon_for(eps), cfg.delta_for(eps), cfg.replicas
+
+    def per_cycle(fb: np.ndarray) -> np.ndarray:
+        """Replicas whose first bad cycle is n, for n = 1..t_eps."""
+        return np.bincount(fb, minlength=t_eps + 1)[1:]
+
+    bad = per_cycle(first_bad)
+    lo = np.empty(t_eps)
+    hi = np.empty(t_eps)
+    for i, k in enumerate(bad):
         lo[i], hi[i] = wilson_interval(int(k), N)
-    if stats.epsilon > 0.0:
-        ratio = stats.delta / stats.epsilon
+    if eps > 0.0:
+        ratio = delta / eps
         bound = 3.0 * gaussian_tail(dc.k * ratio)
         bound_minus = 2.0 * gaussian_tail(dc.k_minus * ratio)
         bound_plus = gaussian_tail(dc.k_plus * ratio)
     else:
         bound = bound_minus = bound_plus = 0.0
     return BadEventTable(
-        epsilon=stats.epsilon, t_eps=stats.t_eps, delta=stats.delta, replicas=N,
-        emp_prob=emp, wilson_lo=lo, wilson_hi=hi, bound=bound,
-        emp_minus=stats.bminus_by_n / N, bound_minus=bound_minus,
-        emp_plus=stats.bplus_by_n / N, bound_plus=bound_plus,
-        good_freq=stats.good_freq, union_prob=stats.union_prob,
-        anomaly_count=stats.anomaly_count,
-        delta_within_dplus=bool(stats.delta < dc.delta_plus),
+        epsilon=eps, t_eps=t_eps, delta=delta, replicas=N,
+        emp_prob=bad / N, wilson_lo=lo, wilson_hi=hi, bound=bound,
+        emp_minus=per_cycle(first_bad[bad_sign < 0]) / N, bound_minus=bound_minus,
+        emp_plus=per_cycle(first_bad[bad_sign > 0]) / N, bound_plus=bound_plus,
+        good_freq=int(np.count_nonzero(first_bad == 0)) / N,
+        union_prob=float(bad.sum()) / N,
+        anomaly_count=int(anomaly.sum()),
+        delta_within_dplus=bool(delta < dc.delta_plus),
     )
-
-
-def bad_event_probs(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
-                    eps: float) -> BadEventTable:
-    """Empirical first-bad-cycle frequencies against the Gaussian tail bounds."""
-    stats = _run_epsilon(p, dc, cfg, eps, want_distance=False)
-    return _table_from_stats(stats, dc)
 
 
 @dataclass(frozen=True)
@@ -360,24 +316,35 @@ class MomentEstimate:
     anomaly_count: int
 
 
-def _moment_from_stats(stats: EpsilonStats, p_order: float) -> MomentEstimate:
-    d = stats.d_bounds
+def _moment_estimate(tab: BadEventTable, p_order: float, d: np.ndarray) -> MomentEstimate:
     dp = d ** p_order
     se = float(dp.std(ddof=1) / math.sqrt(len(dp))) if len(dp) > 1 else 0.0
     return MomentEstimate(
-        epsilon=stats.epsilon, t_eps=stats.t_eps, delta=stats.delta,
-        replicas=stats.replicas, p=p_order,
+        epsilon=tab.epsilon, t_eps=tab.t_eps, delta=tab.delta,
+        replicas=tab.replicas, p=p_order,
         moment=float(dp.mean()), se=se, mean_d=float(d.mean()),
         q90=float(np.quantile(d, 0.9)), q99=float(np.quantile(d, 0.99)),
-        good_freq=stats.good_freq, anomaly_count=stats.anomaly_count,
+        good_freq=tab.good_freq, anomaly_count=tab.anomaly_count,
     )
+
+
+def _verdicts(p: ConverterParams, dc: DerivedConstants, cfg: McConfig, eps: float,
+              want_distance: bool) -> tuple[BadEventTable, MomentEstimate | None]:
+    first_bad, bad_sign, anomaly, d_bound = _replica_tallies(p, dc, cfg, eps, want_distance)
+    tab = _bad_event_table(dc, cfg, eps, first_bad, bad_sign, anomaly)
+    return tab, _moment_estimate(tab, cfg.p, d_bound) if want_distance else None
+
+
+def bad_event_probs(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
+                    eps: float) -> BadEventTable:
+    """Empirical first-bad-cycle frequencies against the Gaussian tail bounds."""
+    return _verdicts(p, dc, cfg, eps, want_distance=False)[0]
 
 
 def distance_moment(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
                     eps: float) -> MomentEstimate:
     """Estimate E[d^p] through certified per-replica distance bounds."""
-    stats = _run_epsilon(p, dc, cfg, eps, want_distance=True)
-    return _moment_from_stats(stats, cfg.p)
+    return _verdicts(p, dc, cfg, eps, want_distance=True)[1]
 
 
 CSV_COLUMNS = ("epsilon", "T_eps", "delta", "n", "emp_prob", "wilson_lo",
@@ -450,10 +417,6 @@ class McReport:
 def sweep(p: ConverterParams, dc: DerivedConstants, cfg: McConfig) -> McReport:
     """Run the full verification sweep over the configured noise grid."""
     cfg.validate()
-    tables = []
-    moments = []
-    for eps in cfg.epsilons:
-        stats = _run_epsilon(p, dc, cfg, eps, want_distance=True)
-        tables.append(_table_from_stats(stats, dc))
-        moments.append(_moment_from_stats(stats, cfg.p))
-    return McReport(config=cfg, tables=tables, moments=moments)
+    tables, moments = zip(*(_verdicts(p, dc, cfg, eps, want_distance=True)
+                            for eps in cfg.epsilons))
+    return McReport(config=cfg, tables=list(tables), moments=list(moments))

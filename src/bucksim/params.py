@@ -11,6 +11,8 @@ strict inequalities (enforced by :func:`validate_params`):
     2 * x_ref * alpha_on  <  beta  <  x_ref * alpha_on * e^a / (e^a - 1),   a = alpha_on
     alpha_on < alpha_off < alpha_on * (beta / alpha_on - x_ref) / x_ref
 
+plus one floor set by double precision, alpha_on >= MIN_ALPHA_ON.
+
 :func:`derive_constants` evaluates every closed-form quantity the rest of the
 package needs: the border point of the stroboscopic map, the fixed point and
 its ON-phase duration, the drift margin mu at the threshold, and the tail-rate
@@ -20,11 +22,16 @@ factors that control how unlikely a badly-timed switching cycle is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InternalError, InvalidParamsError
 
 LOG2 = math.log(2.0)
+# The closed-form ON flow m + (x - m) e^{-alpha_on t}, m = beta / alpha_on,
+# cancels about log10(1 / alpha_on) of the 16 significant digits; below this
+# floor fewer than 10 are left (and near 1e-16 none: the fixed-point bracket
+# collapses).
+MIN_ALPHA_ON = 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,13 +104,15 @@ def validate_params(p: ConverterParams) -> ParamCheck:
         return ParamCheck(False, (), tuple(input_errors))
 
     violations = []
+    if not MIN_ALPHA_ON <= p.alpha_on:
+        violations.append(Violation("alpha_on precision floor", MIN_ALPHA_ON, p.alpha_on, "<="))
     if not p.alpha_on < LOG2:
         violations.append(Violation("alpha_on < log 2", p.alpha_on, LOG2, "<"))
     beta_lo = 2.0 * p.x_ref * p.alpha_on
     if not beta_lo < p.beta:
         violations.append(Violation("beta lower bound", beta_lo, p.beta, "<"))
-    ea = math.exp(p.alpha_on)
-    beta_hi = (ea / (ea - 1.0)) * p.x_ref * p.alpha_on
+    # a e^a / (e^a - 1) through expm1, so a tiny alpha_on gives x_ref, not 0 / 0.
+    beta_hi = p.x_ref * math.exp(p.alpha_on) * (p.alpha_on / math.expm1(p.alpha_on))
     if not p.beta < beta_hi:
         violations.append(Violation("beta upper bound", p.beta, beta_hi, "<"))
     if not p.alpha_on < p.alpha_off:
@@ -157,20 +166,7 @@ class DerivedConstants:
     f_prime_at_star: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "x_border": self.x_border,
-            "x_star": self.x_star,
-            "t_star": self.t_star,
-            "t_on": self.t_on,
-            "t_off": self.t_off,
-            "t_min": self.t_min,
-            "mu": self.mu,
-            "k_minus": self.k_minus,
-            "k_plus": self.k_plus,
-            "k": self.k,
-            "delta_plus": self.delta_plus,
-            "f_prime_at_star": self.f_prime_at_star,
-        }
+        return asdict(self)
 
 
 def border_point(p: ConverterParams) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deterministic import DetSchedule
-from .errors import DomainError
+from .errors import DomainError, check_grid_size
 from .stochastic import ReplicaSchedule
 
 def hybrid_distance(z1: tuple[float, float], z2: tuple[float, float]) -> float:
@@ -170,7 +170,9 @@ class WarpedPath:
 
 def _eval_points(horizon: float, grid_step: float, z1_jumps: np.ndarray,
                  z2_preimages: np.ndarray) -> np.ndarray:
-    n = max(1, int(math.ceil(horizon / grid_step)))
+    span = horizon / grid_step
+    check_grid_size(span + 1, "distance evaluation grid")
+    n = max(1, int(math.ceil(span)))
     base = np.linspace(0.0, horizon, n + 1)
     pts = np.concatenate([base, z1_jumps, z2_preimages])
     pts = pts[(pts >= 0.0) & (pts <= horizon)]

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .deterministic import MODE_OFF, MODE_ON
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_grid_size
 from .params import ConverterParams, require_valid
 
 
@@ -40,9 +40,7 @@ def ou_step(p: ConverterParams, x: float, h: float, eps: float, gauss: float) ->
     if h < 0:
         raise DomainError(f"ou_step: h={h!r} must be >= 0")
     m = p.equilibrium
-    decay = math.exp(-p.alpha_on * h)
-    sd = eps * math.sqrt((1.0 - decay * decay) / (2.0 * p.alpha_on))
-    return m + (x - m) * decay + sd * gauss
+    return m + (x - m) * math.exp(-p.alpha_on * h) + ou_step_sd(p, h, eps) * gauss
 
 
 def ou_step_sd(p: ConverterParams, h: float, eps: float) -> float:
@@ -56,15 +54,16 @@ def crossing_probability(x1: float, x2: float, level: float, h: float, eps: floa
 
     exp(-2 (level - x1)(level - x2) / (eps^2 h)); endpoints exactly at the
     level give 1.  Endpoints above the level are the caller's crossing case
-    and are rejected.
+    and are rejected.  An eps^2 h that underflows to 0 is treated as eps = 0.
     """
     if x1 > level or x2 > level:
         raise DomainError("crossing_probability: endpoint above the level is a crossing")
     if h <= 0:
         raise DomainError(f"crossing_probability: h={h!r} must be > 0")
-    if eps == 0.0:
+    var = eps * eps * h
+    if var == 0.0:
         return 1.0 if (x1 == level or x2 == level) else 0.0
-    return math.exp(-2.0 * (level - x1) * (level - x2) / (eps * eps * h))
+    return math.exp(-2.0 * (level - x1) * (level - x2) / var)
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,10 @@ class StochConfig:
     def steps_per_unit(self) -> int:
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt={self.dt!r} must be finite and > 0")
-        spu = round(1.0 / self.dt)
+        inv = 1.0 / self.dt
+        if not math.isfinite(inv):
+            raise ConfigError(f"dt={self.dt!r} is too small: 1/dt is not finite")
+        spu = round(inv)
         if spu < 1 or abs(spu * self.dt - 1.0) > 1e-9:
             raise ConfigError(f"1/dt must be an integer (dt={self.dt!r})")
         return spu
@@ -220,15 +222,17 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     spu = cfg.steps_per_unit()
     n = int(cfg.horizon) * spu
     B = len(replica_ids)
+    check_grid_size(B * (n + 1), "simulate_batch: replicas x grid nodes")
     eps = float(cfg.epsilon)
     a_on, a_off = p.alpha_on, p.alpha_off
     x_ref = p.x_ref
     m = p.equilibrium
     h = 1.0 / spu
     decay_on = math.exp(-a_on * h)
-    sd = eps * math.sqrt((1.0 - decay_on * decay_on) / (2.0 * a_on))
-    bridge = cfg.bridge_correction and eps > 0.0
-    inv_var = 2.0 / (eps * eps * h) if eps > 0.0 else 0.0
+    sd = ou_step_sd(p, h, eps)
+    # An eps^2 h that underflows to 0 makes every bridge probability 0.
+    bridge = cfg.bridge_correction and eps * eps * h > 0.0
+    inv_var = 2.0 / (eps * eps * h) if bridge else 0.0
 
     grid_t = np.arange(n + 1) / spu
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bucksim import (ConverterParams, McConfig, StochConfig, derive_constants,
+                     simulate_batch, simulate_stoch)
 from bucksim.cli import main
 from bucksim.configfile import COMMAND_SETTINGS, parse_bool
 from bucksim.output import atomic_write_text, csv_text, format_value
@@ -128,16 +131,26 @@ def test_simulate_det_requires_out(cfg_file):
     assert rc == 2
 
 
-def test_simulate_sde_outputs(cfg_file, tmp_path):
+def test_simulate_sde_outputs(cfg_file, tmp_path, monkeypatch):
+    # Chunks of 2 replicas, so the last chunk is ragged; the bytes must match
+    # one simulate_stoch run per replica.
+    monkeypatch.setattr(McConfig, "batch_size", 2)
     out = tmp_path / "sde"
     rc = main(["simulate-sde", "--config", cfg_file, "--out", str(out),
-               "--epsilon", "0.05", "--horizon", "3", "--replicas", "2",
+               "--epsilon", "0.05", "--horizon", "3", "--replicas", "3",
                "--emit-paths"])
     assert rc == 0
-    sched = (out / "schedule.csv").read_text().strip().split("\n")
-    assert sched[0] == "replica,n,tau_n,sigma_n"
-    assert (out / "trajectory_0.csv").exists()
-    assert (out / "trajectory_1.csv").exists()
+    p = ConverterParams(alpha_on=0.5, alpha_off=0.6, beta=1.2, x_ref=1.0)
+    cfg = StochConfig(epsilon=0.05, horizon=3, seed=42)
+    rows = []
+    for k in range(3):
+        path = simulate_stoch(p, (derive_constants(p).x_star, 1), cfg, replica=k)
+        sched = path.schedule
+        rows += [(k, n + 1, sched.taus[n], sched.sigmas[n]) for n in range(sched.cycles)]
+        assert (out / f"trajectory_{k}.csv").read_text() == csv_text(
+            ("t", "x", "y"), zip(path.t, path.x, path.y))
+    assert (out / "schedule.csv").read_text() == csv_text(
+        ("replica", "n", "tau_n", "sigma_n"), rows)
 
 
 def test_simulate_sde_bad_dt_is_config_error(cfg_file, tmp_path):
@@ -156,6 +169,44 @@ def test_distance_output(cfg_file, tmp_path):
     fields = lines[1].split(",")
     assert fields[3] in ("deformation", "identity")
     assert float(fields[2]) >= max(float(fields[0]), float(fields[1])) - 1e-15
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_artifact_bytes_pinned(cfg_file, tmp_path):
+    # A refactor must leave every byte of these artifacts as it is; a change
+    # that moves a byte on purpose re-pins the digests.
+    args = ["mc-sweep", "--config", cfg_file, "--epsilons", "0.1,0.0",
+            "--frak-t", "2", "--replicas", "120", "--dt", "0.01", "--quiet"]
+    for batch_size in (7, 300):
+        out = tmp_path / f"mc{batch_size}"
+        assert main(args + ["--batch-size", str(batch_size), "--out", str(out)]) == 0
+        assert _sha256(out / "report.csv") == (
+            "4f061df35837f17b6d5bff289c179dacf6cb4b06cf6cd8a266bf1b68f4d79738")
+        assert _sha256(out / "summary.json") == (
+            "4f08ac31dc0c968948c5209c48e4cd03b3fcd306478bc6ce1dbdb94aa7e5bdaf")
+    out = tmp_path / "dist"
+    assert main(["distance", "--config", cfg_file, "--out", str(out), "--epsilon", "0.02",
+                 "--horizon", "3", "--quiet"]) == 0
+    assert _sha256(out / "distance.csv") == (
+        "8627f0e1ce6a013b77c7f48354da554ec1fe8b37405aee435f52c0c5074bd398")
+
+
+def test_underflowing_noise_is_zero_noise(cfg_file, tmp_path):
+    # eps^2 h underflows to 0 at eps = 1e-170: no bridge hits, and each OU
+    # increment is below half an ulp of the state, so the schedules are the
+    # eps = 0 ones.
+    p = ConverterParams(alpha_on=0.5, alpha_off=0.6, beta=1.2, x_ref=1.0)
+    x0 = derive_constants(p).x_star
+    runs = [simulate_batch(p, x0, StochConfig(epsilon=eps, horizon=3, seed=5), range(4),
+                           record_paths=False).schedules for eps in (0.0, 1e-170)]
+    for a, b in zip(*runs):
+        assert np.array_equal(a.taus, b.taus) and np.array_equal(a.sigmas, b.sigmas)
+        assert a.partial_final_on == b.partial_final_on
+    assert main(["simulate-sde", "--config", cfg_file, "--out", str(tmp_path / "sde"),
+                 "--epsilon", "1e-200", "--horizon", "2", "--quiet"]) == 0
 
 
 def test_mc_sweep_outputs_and_determinism(cfg_file, tmp_path):
@@ -195,6 +246,17 @@ BAD_SETTINGS = [
     (["simulate-sde", "--replicas", "-3"], "sde.replicas"),
     (["strobe", "--iters", "-3"], "--iters"),
     (["mc-sweep", "--set", "mc.replcas=5"], "mc.replcas"),
+    (["mc-sweep", "--dt", "5e-324"], "dt="),
+    (["simulate-sde", "--dt", "5e-324"], "dt="),
+    (["distance", "--dt", "5e-324"], "dt="),
+    (["mc-sweep", "--dt", "1e-300"], "grid-size cap"),
+    (["simulate-sde", "--dt", "1e-300"], "grid-size cap"),
+    (["distance", "--dt", "1e-300"], "grid-size cap"),
+    (["simulate-det", "--sample-step", "1e-300"], "grid-size cap"),
+    (["distance", "--grid-step", "1e-300"], "grid-size cap"),
+    (["mc-sweep", "--grid-step", "1e-300"], "grid-size cap"),
+    (["mc-sweep", "--epsilons", "1e-100", "--nu", "0.6"], "grid-size cap"),
+    (["simulate-det", "--horizon", "1000000000"], "grid-size cap"),
 ]
 
 
@@ -206,7 +268,8 @@ def test_bad_setting_is_config_error(small_cfg, tmp_path, capsys, argv, named):
     assert err.startswith("config error:") and named in err
 
 
-BAD_TOKENS = ("", "abc", "nan", "inf", "-1", "0", "1e400", "0.1,abc", "1.5")
+BAD_TOKENS = ("", "abc", "nan", "inf", "-1", "0", "1e400", "0.1,abc", "1.5", "5e-324",
+              "1e-300")
 # One tiny valid value per valued flag.
 TINY = {
     "--seed": "3", "--alpha-on": "0.5", "--alpha-off": "0.6", "--beta": "1.2",

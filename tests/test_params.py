@@ -29,6 +29,14 @@ def test_alpha_on_log2_violation():
     assert "alpha_on < log 2" in check.violation_names()
 
 
+def test_alpha_on_precision_floor():
+    # Admissible in exact arithmetic, but the closed forms cancel every digit.
+    for a_on in (5e-324, 1e-300, 1e-9):
+        check = validate_params(ConverterParams(a_on, 0.6, 1.2, 1.5))
+        assert check.violation_names() == ("alpha_on precision floor",)
+    assert validate_params(ConverterParams(1e-6, 0.6, 1.2, 1.5)).ok
+
+
 def test_boundary_equality_is_a_violation():
     # beta exactly at the lower bound must fail (strict inequalities).
     check = validate_params(ConverterParams(0.5, 0.6, 1.0, 1.0))
