@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from . import __version__
 from .configfile import COMMAND_SETTINGS, parse_bool, resolve
 from .deterministic import sample_path, simulate_det
-from .errors import BucksimError, ConfigError, DomainError
+from .errors import BucksimError, ConfigError, DomainError, grids_per_batch
 from .montecarlo import McConfig, _has_anomaly, deformation_for, sweep
 from .output import atomic_write_text, csv_text, format_value, write_json
 from .params import ConverterParams, derive_constants, validate_params
@@ -131,9 +131,9 @@ def _cmd_simulate_sde(s: SimpleNamespace) -> int:
     out = _out_dir(s, required=True)
     rows = []
     anomalies = 0
-    # Chunks of the default sweep batch size keep memory bounded; every
+    # Batches of the default sweep size, split under the grid cap; every
     # replica has its own stream, so the chunking changes no byte.
-    chunk = McConfig.batch_size
+    chunk = grids_per_batch(McConfig.batch_size, cfg.grid_nodes(), "one replica's grid")
     for start in range(0, s.replicas, chunk):
         ids = range(start, min(start + chunk, s.replicas))
         res = simulate_batch(p, dc.x_star, cfg, ids, record_paths=s.emit_paths)

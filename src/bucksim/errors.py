@@ -7,9 +7,10 @@ be impossible under validated inputs.  The one resource limit, the grid-size
 cap, lives here too: exceeding it is a configuration problem.
 """
 
-# Largest grid any one array of the engines may span: replicas x grid nodes
-# of a stochastic batch (about 25 bytes each with bridge draws and recorded
-# paths, so under 1 GB), or sample/evaluation points of one path.
+# Largest grid one array may span: replicas x nodes of a stochastic batch
+# (about 25 B per replica-node with recorded paths, so about 0.85 GB at the
+# cap), or the sample/evaluation points of one path.  Sweeps and simulate-sde
+# split their replicas into batches under it.
 MAX_GRID_POINTS = 2 ** 25
 
 
@@ -38,3 +39,12 @@ def check_grid_size(points: float, what: str) -> None:
     if not points <= MAX_GRID_POINTS:
         raise ConfigError(f"{what} exceeds the grid-size cap of {MAX_GRID_POINTS} "
                           "points; use a coarser step or a shorter horizon")
+
+
+def grids_per_batch(wanted: int, points_each: int, what: str) -> int:
+    """How many grids of `points_each` nodes, at most `wanted`, fit together under the cap.
+
+    Raises ConfigError when a single grid does not fit.
+    """
+    check_grid_size(points_each, what)
+    return min(wanted, MAX_GRID_POINTS // points_each)

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .deterministic import DetPath, simulate_det
-from .errors import ConfigError, DomainError, check_grid_size
+from .errors import ConfigError, DomainError, check_grid_size, grids_per_batch
 from .output import csv_text
 from .params import ConverterParams, DerivedConstants
 from .skorokhod import TimeDeformation, align_schedules, skorokhod_upper_bound
@@ -117,13 +117,13 @@ class McConfig:
                                            and self.t_cap >= 1):
             raise ConfigError(f"t_cap={self.t_cap!r} must be None or an integer >= 1")
         # Delegate the dt and seed checks.
-        scfg = StochConfig(epsilon=0.0, dt=self.dt, horizon=1, seed=self.seed)
-        scfg.validate()
-        # Fail before any work when a batch at some eps would exceed the grid cap.
-        batch = min(self.batch_size, self.replicas)
+        self.stoch_config(0.0).validate()
+        # Fail before any work when one replica's grid at some eps exceeds the
+        # cap (larger batches are split in _replica_tallies).  eps = 0 simulates
+        # nothing, but its per-cycle table still has T_eps entries.
         for e in self.epsilons:
-            check_grid_size(batch * (self.horizon_for(e) * scfg.steps_per_unit() + 1),
-                            f"mc batch grid at epsilon={e!r}")
+            points = self.stoch_config(e).grid_nodes() if e > 0.0 else self.horizon_for(e) + 1
+            check_grid_size(points, f"one replica's grid at epsilon={e!r}")
 
     def horizon_for(self, eps: float) -> int:
         """T_eps = floor(frak_t / eps^nu), at least 1, optionally capped."""
@@ -137,6 +137,12 @@ class McConfig:
 
     def delta_for(self, eps: float) -> float:
         return 0.0 if eps == 0.0 else eps ** self.varsigma
+
+    def stoch_config(self, eps: float) -> StochConfig:
+        """The engine config of the sub-ensemble at noise level eps."""
+        return StochConfig(epsilon=eps, dt=self.dt, horizon=self.horizon_for(eps),
+                           seed=self.seed, bridge_correction=self.bridge_correction,
+                           stream=self.stream_for(eps))
 
     def stream_for(self, eps: float) -> int:
         """Sub-ensemble index: position of eps in the configured grid."""
@@ -190,9 +196,7 @@ def _ensemble_batch(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
     d_bound stays 0 unless want_distance.
     """
     t_eps, delta = cfg.horizon_for(eps), cfg.delta_for(eps)
-    scfg = StochConfig(epsilon=eps, dt=cfg.dt, horizon=t_eps, seed=cfg.seed,
-                       bridge_correction=cfg.bridge_correction,
-                       stream=cfg.stream_for(eps))
+    scfg = cfg.stoch_config(eps)
     res = simulate_batch(p, dc.x_star, scfg, list(ids), record_paths=want_distance)
     det = simulate_det(p, (dc.x_star, 1), t_eps)
     det_t = det.schedule.on_to_off
@@ -223,7 +227,10 @@ def _replica_tallies(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
         return (np.zeros(N, dtype=int), np.zeros(N, dtype=int), np.zeros(N, dtype=bool),
                 np.zeros(N))
     run = partial(_ensemble_batch, p, dc, cfg, eps, want_distance=want_distance)
-    batches = [range(i, min(i + cfg.batch_size, N)) for i in range(0, N, cfg.batch_size)]
+    # Bytes do not depend on the batch size, so a batch over the grid cap is split.
+    size = grids_per_batch(cfg.batch_size, cfg.stoch_config(eps).grid_nodes(),
+                           f"one replica's grid at epsilon={eps!r}")
+    batches = [range(i, min(i + size, N)) for i in range(0, N, size)]
     if cfg.workers > 1 and len(batches) > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(batches))) as pool:
             results = list(pool.map(run, batches))

@@ -11,8 +11,6 @@ strict inequalities (enforced by :func:`validate_params`):
     2 * x_ref * alpha_on  <  beta  <  x_ref * alpha_on * e^a / (e^a - 1),   a = alpha_on
     alpha_on < alpha_off < alpha_on * (beta / alpha_on - x_ref) / x_ref
 
-plus one floor set by double precision, alpha_on >= MIN_ALPHA_ON.
-
 :func:`derive_constants` evaluates every closed-form quantity the rest of the
 package needs: the border point of the stroboscopic map, the fixed point and
 its ON-phase duration, the drift margin mu at the threshold, and the tail-rate
@@ -24,14 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import InternalError, InvalidParamsError
+from .errors import DomainError, InvalidParamsError
 
 LOG2 = math.log(2.0)
-# The closed-form ON flow m + (x - m) e^{-alpha_on t}, m = beta / alpha_on,
-# cancels about log10(1 / alpha_on) of the 16 significant digits; below this
-# floor fewer than 10 are left (and near 1e-16 none: the fixed-point bracket
-# collapses).
-MIN_ALPHA_ON = 1e-6
+# Why admissible parameters can defeat the closed forms: rounding crosses a
+# tight inequality, or m = beta / alpha_on cancels every digit of m + (x - m) e^-at.
+PRECISION_LOSS = ("parameters within rounding of an admissibility boundary, or "
+                  "alpha_on too small for double precision")
 
 
 @dataclass(frozen=True)
@@ -104,8 +101,6 @@ def validate_params(p: ConverterParams) -> ParamCheck:
         return ParamCheck(False, (), tuple(input_errors))
 
     violations = []
-    if not MIN_ALPHA_ON <= p.alpha_on:
-        violations.append(Violation("alpha_on precision floor", MIN_ALPHA_ON, p.alpha_on, "<="))
     if not p.alpha_on < LOG2:
         violations.append(Violation("alpha_on < log 2", p.alpha_on, LOG2, "<"))
     beta_lo = 2.0 * p.x_ref * p.alpha_on
@@ -213,7 +208,8 @@ def derive_constants(p: ConverterParams) -> DerivedConstants:
 
 
 def _check_derived(p: ConverterParams, dc: DerivedConstants) -> None:
-    # Impossible under valid params; a failure here indicates a bug.
+    # Exact under valid params; in double precision the closed forms fail only
+    # for parameters that the inequalities admit but rounding does not.
     ok = (
         0.0 < dc.x_border < dc.x_star < p.x_ref
         and 0.0 < dc.t_star < 1.0
@@ -223,7 +219,7 @@ def _check_derived(p: ConverterParams, dc: DerivedConstants) -> None:
         and dc.delta_plus > 0.0
     )
     if not ok:
-        raise InternalError(f"derived constants violate their invariants: {dc}")
+        raise DomainError(f"derived constants violate their invariants ({PRECISION_LOSS}): {dc}")
 
 
 def params_from_circuit(v_in: float, r_load: float, r_diode: float, inductance: float,

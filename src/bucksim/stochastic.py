@@ -84,15 +84,16 @@ class StochConfig:
     stream: int = 0
 
     def steps_per_unit(self) -> int:
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError(f"dt={self.dt!r} must be finite and > 0")
-        inv = 1.0 / self.dt
-        if not math.isfinite(inv):
-            raise ConfigError(f"dt={self.dt!r} is too small: 1/dt is not finite")
-        spu = round(inv)
+        if not (math.isfinite(self.dt) and self.dt > 0 and math.isfinite(1.0 / self.dt)):
+            raise ConfigError(f"dt={self.dt!r} must be finite and > 0, with a finite 1/dt")
+        spu = round(1.0 / self.dt)
         if spu < 1 or abs(spu * self.dt - 1.0) > 1e-9:
             raise ConfigError(f"1/dt must be an integer (dt={self.dt!r})")
         return spu
+
+    def grid_nodes(self) -> int:
+        """Nodes of one replica's time grid: 0, dt, ..., horizon."""
+        return int(self.horizon) * self.steps_per_unit() + 1
 
     def validate(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
@@ -222,7 +223,7 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     spu = cfg.steps_per_unit()
     n = int(cfg.horizon) * spu
     B = len(replica_ids)
-    check_grid_size(B * (n + 1), "simulate_batch: replicas x grid nodes")
+    check_grid_size(B * cfg.grid_nodes(), "simulate_batch: replicas x grid nodes")
     eps = float(cfg.epsilon)
     a_on, a_off = p.alpha_on, p.alpha_off
     x_ref = p.x_ref

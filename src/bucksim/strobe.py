@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, InternalError
-from .params import ConverterParams, border_point, require_valid
+from .errors import DomainError
+from .params import PRECISION_LOSS, ConverterParams, border_point, require_valid
 
 BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
@@ -59,8 +59,8 @@ def find_fixed_point(p: ConverterParams) -> tuple[float, float]:
 
     Bisection on h(x) = f(x) - x over [x_border, x_ref]: h > 0 at the left
     end (f(x_border) = x_ref), h < 0 at the right end, and f is decreasing
-    on the switching branch, so the bracket is guaranteed and the root
-    unique.  Absolute tolerance 1e-12 in x.
+    on the switching branch, so in exact arithmetic the bracket is guaranteed
+    and the root unique.  Absolute tolerance 1e-12 in x.
     """
     require_valid(p)
     lo = border_point(p)
@@ -68,8 +68,8 @@ def find_fixed_point(p: ConverterParams) -> tuple[float, float]:
     h_lo = strobe_map(p, lo) - lo
     h_hi = strobe_map(p, hi) - hi
     if not (h_lo > 0.0 and h_hi < 0.0):
-        raise InternalError(
-            f"fixed-point bracket failed: h({lo})={h_lo}, h({hi})={h_hi}"
+        raise DomainError(
+            f"fixed-point bracket failed ({PRECISION_LOSS}): h({lo})={h_lo}, h({hi})={h_hi}"
         )
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)

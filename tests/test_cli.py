@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bucksim import (ConverterParams, McConfig, StochConfig, derive_constants,
                      simulate_batch, simulate_stoch)
+from bucksim import errors
 from bucksim.cli import main
 from bucksim.configfile import COMMAND_SETTINGS, parse_bool
 from bucksim.output import atomic_write_text, csv_text, format_value
@@ -192,6 +193,31 @@ def test_artifact_bytes_pinned(cfg_file, tmp_path):
                  "--horizon", "3", "--quiet"]) == 0
     assert _sha256(out / "distance.csv") == (
         "8627f0e1ce6a013b77c7f48354da554ec1fe8b37405aee435f52c0c5074bd398")
+
+
+def test_grid_cap_splits_batches(cfg_file, tmp_path, monkeypatch):
+    # A batch over the grid-size cap is split into smaller batches, not
+    # refused, and no byte changes; only one replica's grid over the cap is
+    # a config error.
+    sweep = ["mc-sweep", "--config", cfg_file, "--epsilons", "0.1,0.0", "--frak-t", "2",
+             "--replicas", "120", "--dt", "0.01", "--batch-size", "300", "--quiet"]
+    sde = ["simulate-sde", "--config", cfg_file, "--epsilon", "0.05", "--horizon", "10",
+           "--dt", "0.01", "--replicas", "5", "--emit-paths", "--quiet"]
+    runs = []
+    # 2500 points: sweep batches of 12 replicas (201 nodes each), simulate-sde
+    # chunks of 2 (1001 nodes each).
+    for cap in (errors.MAX_GRID_POINTS, 2500):
+        monkeypatch.setattr(errors, "MAX_GRID_POINTS", cap)
+        out = tmp_path / str(cap)
+        assert main(sweep + ["--out", str(out / "mc")]) == 0
+        assert main(sde + ["--out", str(out / "sde")]) == 0
+        runs.append({str(f.relative_to(out)): f.read_bytes()
+                     for f in out.rglob("*") if f.is_file()})
+    assert {"mc/report.csv", "mc/summary.json", "sde/trajectory_4.csv"} <= runs[0].keys()
+    assert runs[0] == runs[1]
+    monkeypatch.setattr(errors, "MAX_GRID_POINTS", 200)
+    assert main(sweep + ["--out", str(tmp_path / "mc")]) == 2
+    assert main(sde + ["--out", str(tmp_path / "sde")]) == 2
 
 
 def test_underflowing_noise_is_zero_noise(cfg_file, tmp_path):

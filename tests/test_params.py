@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bucksim import (ConverterParams, InvalidParamsError, border_point,
+from bucksim import (ConverterParams, DomainError, InvalidParamsError, border_point,
                      derive_constants, params_from_circuit, validate_params)
 from conftest import (DELTA_PLUS_P0, F_PRIME_P0, K_MINUS_P0, K_PLUS_P0,
                       MU_P0, T_STAR_P0, X_BORDER_P0, X_STAR_P0, P0,
@@ -29,12 +29,22 @@ def test_alpha_on_log2_violation():
     assert "alpha_on < log 2" in check.violation_names()
 
 
-def test_alpha_on_precision_floor():
-    # Admissible in exact arithmetic, but the closed forms cancel every digit.
-    for a_on in (5e-324, 1e-300, 1e-9):
-        check = validate_params(ConverterParams(a_on, 0.6, 1.2, 1.5))
-        assert check.violation_names() == ("alpha_on precision floor",)
-    assert validate_params(ConverterParams(1e-6, 0.6, 1.2, 1.5)).ok
+def test_precision_loss_is_domain_error():
+    # Admissible in exact arithmetic, but rounding defeats the closed forms:
+    # alpha_off one ulp below its upper bound 0.7, or alpha_on so small that
+    # beta / alpha_on swamps x_ref.  A DomainError, never an InternalError.
+    for p in (ConverterParams(0.5, math.nextafter(0.7, 0.0), 1.2, 1.0),
+              ConverterParams(1e-17, 0.6, 1.2, 1.5),
+              ConverterParams(1e-300, 0.6, 1.2, 1.5),
+              ConverterParams(5e-324, 0.6, 1.2, 1.5)):
+        assert validate_params(p).ok
+        with pytest.raises(DomainError):
+            derive_constants(p)
+    # Small alpha_on with digits to spare: the constants approach their
+    # alpha_on -> 0 limits.
+    x_stars = [derive_constants(ConverterParams(a, 0.6, 1.2, 1.5)).x_star
+               for a in (1e-6, 1e-9, 1e-12)]
+    assert x_stars == pytest.approx([x_stars[0]] * 3, rel=1e-5)
 
 
 def test_boundary_equality_is_a_violation():
