@@ -194,7 +194,7 @@ _COMMANDS = {
     "simulate-det": (_cmd_simulate_det, "deterministic trajectory and switching schedule"),
     "simulate-sde": (_cmd_simulate_sde,
                      "stochastic replicas: schedules and optional trajectories"),
-    "distance": (_cmd_distance, "certified path-distance bound: one replica vs the orbit"),
+    "distance": (_cmd_distance, "path-distance bound: one replica vs the orbit"),
     "mc-sweep": (_cmd_mc_sweep, "Monte Carlo sweep over a noise grid with bound checks"),
 }
 

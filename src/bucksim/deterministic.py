@@ -16,7 +16,7 @@ during an ON phase is ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,6 +94,8 @@ class DetPath:
     seg_anchor_t: np.ndarray
     seg_anchor_x: np.ndarray
     end_state: tuple[float, int]
+    # Distance-grid evaluations, keyed by grid step (see skorokhod_upper_bound).
+    grid_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def horizon(self) -> float:

@@ -8,8 +8,9 @@ cap, lives here too: exceeding it is a configuration problem.
 """
 
 # Largest grid one array may span: replicas x nodes of a stochastic batch
-# (about 25 B per replica-node with recorded paths, so about 0.85 GB at the
-# cap), or the sample/evaluation points of one path.  Sweeps and simulate-sde
+# (at most 16 B per replica-node with recorded paths: the normals and x while
+# stepping, x and the mode after; so about 0.54 GB at the cap), or the
+# sample/evaluation points of one path.  Sweeps and simulate-sde
 # split their replicas into batches under it.
 MAX_GRID_POINTS = 2 ** 25
 

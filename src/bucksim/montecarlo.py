@@ -10,7 +10,7 @@ timing tolerance delta = eps^varsigma and a horizon T_eps of order
     deviates from the deterministic one by more than delta; the empirical
     frequencies are compared against 3 * tail(K delta / eps) per cycle,
     with the early/late split checked against its own two bounds.
-  * Distance moments: certified per-replica upper bounds on the path
+  * Distance moments: per-replica grid-resolved bounds on the path
     distance between the stochastic and deterministic trajectories, via
     the schedule-aligning deformation on good replicas and the identity
     elsewhere, averaged to an estimate of E[d^p] that must decay as eps
@@ -36,7 +36,8 @@ from .deterministic import DetPath, simulate_det
 from .errors import ConfigError, DomainError, check_grid_size, grids_per_batch
 from .output import csv_text
 from .params import ConverterParams, DerivedConstants
-from .skorokhod import TimeDeformation, align_schedules, skorokhod_upper_bound
+from .skorokhod import (TimeDeformation, align_schedules, distance_grid_nodes,
+                        skorokhod_upper_bound)
 from .stochastic import ReplicaSchedule, StochConfig, StochPath, simulate_batch
 
 SQRT2 = math.sqrt(2.0)
@@ -97,12 +98,19 @@ class McConfig:
         for e in self.epsilons:
             if not (math.isfinite(e) and e >= 0.0):
                 raise ConfigError(f"epsilon={e!r} must be finite and >= 0")
+        if len(set(self.epsilons)) < len(self.epsilons):
+            # stream_for maps a noise level to one stream, so a repeat would
+            # reproduce the same sub-ensemble.
+            raise ConfigError(f"epsilons={self.epsilons!r} must not repeat a value")
         if not 0.0 <= self.nu < 2.0 / 3.0:
             raise ConfigError(f"nu={self.nu!r} must lie in [0, 2/3)")
         if not self.nu < self.varsigma < 1.0:
             raise ConfigError(f"varsigma={self.varsigma!r} must lie in (nu, 1)")
         if not (isinstance(self.frak_t, (int, np.integer)) and self.frak_t >= 1):
             raise ConfigError(f"frak_t={self.frak_t!r} must be an integer >= 1")
+        # Checked before horizon_for converts it to a float.  A larger frak_t
+        # is over the cap anyway at eps <= 1 without t_cap (T_eps >= frak_t).
+        check_grid_size(self.frak_t, "frak_t")
         if not (math.isfinite(self.p) and self.p >= 1.0):
             raise ConfigError(f"p={self.p!r} must be finite and >= 1")
         if self.replicas < 1:
@@ -226,6 +234,9 @@ def _replica_tallies(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
         # Deterministic degeneration: no draws, no deviations, zero distance.
         return (np.zeros(N, dtype=int), np.zeros(N, dtype=int), np.zeros(N, dtype=bool),
                 np.zeros(N))
+    if want_distance:
+        # Fail before the first batch, not in the first distance bound.
+        distance_grid_nodes(float(cfg.horizon_for(eps)), cfg.grid_step)
     run = partial(_ensemble_batch, p, dc, cfg, eps, want_distance=want_distance)
     # Bytes do not depend on the batch size, so a batch over the grid cap is split.
     size = grids_per_batch(cfg.batch_size, cfg.stoch_config(eps).grid_nodes(),
@@ -307,7 +318,7 @@ def _bad_event_table(dc: DerivedConstants, cfg: McConfig, eps: float,
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Certified-upper-bound estimate of E[d^p] for one noise level."""
+    """Estimate of E[d^p] for one noise level from per-replica distance bounds."""
 
     epsilon: float
     t_eps: int
@@ -350,7 +361,7 @@ def bad_event_probs(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
 
 def distance_moment(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
                     eps: float) -> MomentEstimate:
-    """Estimate E[d^p] through certified per-replica distance bounds."""
+    """Estimate E[d^p] through per-replica distance bounds (grid slack not added)."""
     return _verdicts(p, dc, cfg, eps, want_distance=True)[1]
 
 
@@ -424,6 +435,10 @@ class McReport:
 def sweep(p: ConverterParams, dc: DerivedConstants, cfg: McConfig) -> McReport:
     """Run the full verification sweep over the configured noise grid."""
     cfg.validate()
+    for eps in cfg.epsilons:
+        # Every noise level's distance grid, before the first one runs.
+        if eps > 0.0:
+            distance_grid_nodes(float(cfg.horizon_for(eps)), cfg.grid_step)
     tables, moments = zip(*(_verdicts(p, dc, cfg, eps, want_distance=True)
                             for eps in cfg.epsilons))
     return McReport(config=cfg, tables=list(tables), moments=list(moments))

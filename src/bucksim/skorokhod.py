@@ -1,4 +1,4 @@
-"""Path distance for hybrid trajectories: time deformations and certified bounds.
+"""Path distance for hybrid trajectories: time deformations and upper bounds.
 
 Trajectories live in the cadlag path space over Z = R x {0, 1} with the
 Euclidean state metric r(z1, z2) = sqrt(|x1 - x2|^2 + |y1 - y2|^2).  The
@@ -8,11 +8,13 @@ continuous bijections lam of [0, T], of
     max( distortion(lam),  sup_t r(z1(t), z2(lam(t))) ),
 
 where distortion(lam) = sup_{s<t} |log((lam(t) - lam(s)) / (t - s))|.  The
-exact infimum is not computed here: every reported number is a certified
-upper bound obtained from an explicit candidate deformation (identity, or
-the piecewise-linear alignment of switching schedules), plus a brute-force
-search over small candidate families that serves as a reference on small
-instances.
+exact infimum is not computed here: every reported number is the bound
+of an explicit candidate deformation (identity, or the piecewise-linear
+alignment of switching schedules), plus a brute-force search over small
+candidate families that serves as a reference on small instances.  The
+state mismatch is resolved on a grid, so a bound can fall short of the
+candidate's true value by at most its grid_slack, which is reported but
+not added.
 
 For piecewise-linear lam the distortion equals max |log slope| over linear
 pieces: any chord slope is a convex combination (weighted by time
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deterministic import DetSchedule
+from .deterministic import DetPath, DetSchedule
 from .errors import DomainError, check_grid_size
 from .stochastic import ReplicaSchedule
 
@@ -122,7 +124,7 @@ def align_schedules(det: DetSchedule, stoch: ReplicaSchedule,
 
 @dataclass(frozen=True)
 class DistanceBound:
-    """A certified upper bound on the path distance.
+    """Path-distance bound of one candidate deformation, grid-resolved in x.
 
     bound = max(gamma, sup_r), where gamma is the deformation distortion and
     sup_r the state mismatch maximized over the evaluation points.  The sup
@@ -168,35 +170,50 @@ class WarpedPath:
         return self.base.slope_bound() * self.warp.max_slope()
 
 
-def _eval_points(horizon: float, grid_step: float, z1_jumps: np.ndarray,
-                 z2_preimages: np.ndarray) -> np.ndarray:
+def distance_grid_nodes(horizon: float, grid_step: float) -> int:
+    """Nodes of the uniform distance grid over [0, horizon]; checked against the grid cap."""
     span = horizon / grid_step
     check_grid_size(span + 1, "distance evaluation grid")
-    n = max(1, int(math.ceil(span)))
-    base = np.linspace(0.0, horizon, n + 1)
-    pts = np.concatenate([base, z1_jumps, z2_preimages])
-    pts = pts[(pts >= 0.0) & (pts <= horizon)]
-    return np.unique(pts)
+    return max(1, int(math.ceil(span))) + 1
+
+
+def _on_uniform_grid(z, grid_step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grid, x, y) of path z on the uniform distance grid; memoised on a DetPath."""
+    memo = z.grid_memo if isinstance(z, DetPath) else {}
+    if grid_step not in memo:
+        grid = np.linspace(0.0, z.horizon, distance_grid_nodes(z.horizon, grid_step))
+        memo[grid_step] = (grid, *z.eval(grid))
+        for a in memo[grid_step]:
+            a.setflags(write=False)  # shared by every later call
+    return memo[grid_step]
+
+
+def _sup_mismatch(q: np.ndarray, x1: np.ndarray, y1: np.ndarray, z2,
+                  lam: TimeDeformation, T: float) -> float:
+    """max over q of r(z1(q), z2(lam(q))), given z1's values (x1, y1) at q."""
+    x2, y2 = z2.eval(np.clip(lam(q), 0.0, T))
+    return float(np.hypot(x1 - x2, y1.astype(float) - y2.astype(float)).max())
 
 
 def skorokhod_upper_bound(z1, z2, lam: TimeDeformation, grid_step: float = 1e-3,
                           method: str = "deformation") -> DistanceBound:
-    """Certified distance bound from one explicit candidate deformation.
+    """Distance bound from one explicit candidate deformation.
 
     Evaluation points: a uniform grid of the given step over [0, T], all
     jump times of z1, and the lam-preimages of all jump times of z2; the
-    0-or-1 mode mismatch is therefore captured exactly.
+    0-or-1 mode mismatch is therefore captured exactly.  The sup is the
+    larger of the sups over the grid and over the jump points.
     """
     T = z1.horizon
     if abs(z2.horizon - T) > 1e-9 or abs(lam.horizon - T) > 1e-9:
         raise DomainError("skorokhod_upper_bound: horizons must match")
-    pts = _eval_points(T, grid_step, np.asarray(z1.jump_times, dtype=float),
-                       lam.inverse()(np.asarray(z2.jump_times, dtype=float)))
-    x1, y1 = z1.eval(pts)
-    q2 = np.clip(lam(pts), 0.0, T)
-    x2, y2 = z2.eval(q2)
-    r = np.hypot(x1 - x2, y1.astype(float) - y2.astype(float))
-    sup_r = float(r.max())
+    grid, x1, y1 = _on_uniform_grid(z1, grid_step)
+    sup_r = _sup_mismatch(grid, x1, y1, z2, lam, T)
+    jumps = np.concatenate([np.asarray(z1.jump_times, dtype=float),
+                            lam.inverse()(np.asarray(z2.jump_times, dtype=float))])
+    jumps = jumps[(jumps >= 0.0) & (jumps <= T)]
+    if jumps.size:
+        sup_r = max(sup_r, _sup_mismatch(jumps, *z1.eval(jumps), z2, lam, T))
     gamma = lam.distortion()
     slack = grid_step * (z1.slope_bound() + lam.max_slope() * z2.slope_bound())
     return DistanceBound(gamma=gamma, sup_r=sup_r, bound=max(gamma, sup_r),

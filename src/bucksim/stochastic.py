@@ -10,11 +10,18 @@ and, optionally, by a Brownian-bridge crossing test inside non-crossing
 steps.  The OFF state is deterministic decay and is evaluated closed-form;
 its grid samples exist only for output.
 
+A batch runs one clock period at a time: in [k, k + 1] only the replicas
+ON at node k are stepped, each until its passage, and the period ends as
+soon as none is left.  Restarts are applied at the integer nodes and the
+OFF stretches of recorded paths are filled in closed form afterwards.
+
 Replica k of an ensemble draws from a counter-based Philox stream derived
 from (seed, k), so ensembles are reproducible independent of batching or
 scheduling.  Within a replica the draw consumed at grid step i is always
 element i of its stream (normals first, then uniforms when the bridge test
-is enabled), which makes paths bit-reproducible.
+is enabled), which makes paths bit-reproducible.  All normals are drawn up
+front; the uniforms are drawn one period at a time, which yields the same
+values as one draw of the whole horizon.
 """
 
 from __future__ import annotations
@@ -207,122 +214,152 @@ class BatchResult:
 
 def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
                    replica_ids: Sequence[int], record_paths: bool = True) -> BatchResult:
-    """Simulate a batch of replicas on the shared grid.
+    """Simulate a batch of replicas on the shared grid, one clock period at a time.
 
-    All replicas start from (x0, ON).  The grid time of step i is i / spu
-    computed as an exact float ratio, so integer clock times are hit
-    exactly.  Per grid step: exact OU update for ON replicas, passage
-    detection (endpoint crossing, interpolated tau; optional bridge test,
-    mid-step tau), closed-form OFF decay anchored at the last passage, and
-    OFF->ON restarts at integer nodes.
+    All replicas start from (x0, ON).  The grid time of node i is i / spu,
+    an exact float ratio, so integer clock times are hit exactly.  In the
+    period [k, k + 1] only the replicas ON at node k are stepped: exact OU
+    update, then passage detection (endpoint crossing with interpolated
+    tau; optional bridge test with mid-step tau).  A replica leaves the
+    active set at its passage and the period ends once the set is empty.
+    OFF->ON restarts are applied at node k + 1 from the closed-form OFF
+    decay; the OFF stretches of recorded paths are filled in closed form
+    after the loop.
     """
     require_valid(p)
     cfg.validate()
     if not 0.0 < x0 < p.x_ref:
         raise DomainError(f"simulate_batch: x0={x0!r} outside (0, {p.x_ref})")
     spu = cfg.steps_per_unit()
-    n = int(cfg.horizon) * spu
+    horizon = int(cfg.horizon)
+    n = horizon * spu
     B = len(replica_ids)
     check_grid_size(B * cfg.grid_nodes(), "simulate_batch: replicas x grid nodes")
     eps = float(cfg.epsilon)
-    a_on, a_off = p.alpha_on, p.alpha_off
+    a_off = p.alpha_off
     x_ref = p.x_ref
     m = p.equilibrium
     h = 1.0 / spu
-    decay_on = math.exp(-a_on * h)
-    sd = ou_step_sd(p, h, eps)
+    decay_on = math.exp(-p.alpha_on * h)
     # An eps^2 h that underflows to 0 makes every bridge probability 0.
     bridge = cfg.bridge_correction and eps * eps * h > 0.0
-    inv_var = 2.0 / (eps * eps * h) if bridge else 0.0
+    neg_inv_var = -(2.0 / (eps * eps * h)) if bridge else 0.0
 
-    grid_t = np.arange(n + 1) / spu
-
+    # Each replica's stream holds its n normals, then (bridge) its n uniforms.
+    # The normals are drawn up front and pre-scaled to the step's sd; the
+    # uniforms are drawn one period (spu values) at a time.
+    gens = ([replica_generator(cfg.seed, int(r), cfg.stream) for r in replica_ids]
+            if eps > 0.0 else [])
+    normals = None
     if eps > 0.0:
         normals = np.empty((B, n))
-        uniforms = np.empty((B, n)) if bridge else None
-        for j, r in enumerate(replica_ids):
-            g = replica_generator(cfg.seed, int(r), cfg.stream)
-            normals[j] = g.standard_normal(n)
-            if bridge:
-                uniforms[j] = g.random(n)
-    else:
-        normals = uniforms = None
+        for j, g in enumerate(gens):
+            g.standard_normal(out=normals[j])
+        normals *= ou_step_sd(p, h, eps)
+    uniforms = np.empty((B, spu)) if bridge else None
 
-    x = np.full(B, float(x0))
+    x = np.full(B, float(x0))   # state at the current node of every ON replica
     on = np.ones(B, dtype=bool)
     tau_last = np.full(B, np.nan)
     sig_pending = np.full(B, np.inf)
     on_start = np.zeros(B)
-    taus: list[list[float]] = [[] for _ in range(B)]
-    sigmas: list[list[float]] = [[] for _ in range(B)]
-
+    xs = np.empty((B, n + 1)) if record_paths else None
     if record_paths:
-        xs = np.empty((B, n + 1))
-        ys = np.empty((B, n + 1), dtype=np.int8)
         xs[:, 0] = x
-        ys[:, 0] = MODE_ON
-    else:
-        xs = ys = None
+    # Passages in time order: replica rows, tau, grid step of the passage.
+    ev_rows: list[np.ndarray] = []
+    ev_tau: list[np.ndarray] = []
+    ev_step: list[np.ndarray] = []
 
-    for i in range(n):
-        t0 = i / spu
-        t1 = (i + 1) / spu
-        on_idx = np.nonzero(on)[0]
-        if on_idx.size:
-            xa = x[on_idx]
-            if eps > 0.0:
-                xm = m + (xa - m) * decay_on + sd * normals[on_idx, i]
-            else:
-                xm = m + (xa - m) * decay_on
-            crossed = xm >= x_ref
-            tau_vals = np.empty(on_idx.size)
-            if crossed.any():
-                # den == 0 only when the phase both starts and ends exactly at
-                # the threshold; place tau at the step start then.
-                den = np.maximum(xm[crossed] - xa[crossed], 1e-300)
-                frac = (x_ref - xa[crossed]) / den
-                tau_vals[crossed] = t0 + h * frac
+    for k in range(horizon):
+        base = k * spu
+        if bridge:
+            for j, g in enumerate(gens):
+                g.random(out=uniforms[j])
+        act = np.flatnonzero(on)
+        xa = x[act]
+        gap = x_ref - xa
+        for i in range(base, base + spu):
+            if not act.size:
+                break
+            xm = m + (xa - m) * decay_on
+            if normals is not None:
+                xm += normals[act, i]
+            up = xm >= x_ref
             if bridge:
-                nc = ~crossed
-                if nc.any():
-                    pb = np.exp(-inv_var * (x_ref - xa[nc]) * (x_ref - xm[nc]))
-                    hit = uniforms[on_idx[nc], i] < pb
-                    if hit.any():
-                        sub = np.nonzero(nc)[0][hit]
-                        crossed[sub] = True
-                        tau_vals[sub] = t0 + 0.5 * h
+                # The exponent is <= 0 below the level; clamping it at 0 makes
+                # pb = 1 for endpoint crossings, which `up` already flags.
+                gap_m = x_ref - xm
+                pb = np.exp(np.minimum(neg_inv_var * gap * gap_m, 0.0))
+                crossed = up | (uniforms[act, i - base] < pb)
+            else:
+                crossed = up
+            if record_paths:
+                xs[act, i + 1] = xm  # a crosser's value is replaced by the OFF fill
             if crossed.any():
-                cross_idx = on_idx[crossed]
-                tv = tau_vals[crossed]
-                sv = np.floor(tv) + 1.0
-                x[cross_idx] = x_ref * np.exp(-a_off * (t1 - tv))
-                on[cross_idx] = False
-                tau_last[cross_idx] = tv
-                sig_pending[cross_idx] = sv
-                for k, b in enumerate(cross_idx):
-                    taus[b].append(float(tv[k]))
-                    sigmas[b].append(float(sv[k]))
-            keep = on_idx[~crossed]
-            if keep.size:
-                x[keep] = xm[~crossed]
-        off_idx = np.nonzero(~on)[0]
-        if off_idx.size:
-            x[off_idx] = x_ref * np.exp(-a_off * (t1 - tau_last[off_idx]))
-        if (i + 1) % spu == 0:
-            restart = (~on) & (sig_pending == t1)
-            if restart.any():
-                on[restart] = True
-                on_start[restart] = t1
-        if record_paths:
-            xs[:, i + 1] = x
-            ys[:, i + 1] = np.where(on, MODE_ON, MODE_OFF)
+                c = np.flatnonzero(crossed)
+                t0 = i / spu
+                tv = np.full(c.size, t0 + 0.5 * h)
+                hit = up[c]
+                if hit.any():
+                    cu = c[hit]
+                    # den == 0 only when the phase both starts and ends exactly
+                    # at the threshold; place tau at the step start then.
+                    den = np.maximum(xm[cu] - xa[cu], 1e-300)
+                    tv[hit] = t0 + h * ((x_ref - xa[cu]) / den)
+                rows = act[c]
+                ev_rows.append(rows)
+                ev_tau.append(tv)
+                ev_step.append(np.full(c.size, i))
+                on[rows] = False
+                tau_last[rows] = tv
+                sig_pending[rows] = np.floor(tv) + 1.0
+                keep = ~crossed
+                act, xm = act[keep], xm[keep]
+                if bridge:
+                    gap_m = gap_m[keep]
+            xa = xm
+            if bridge:
+                gap = gap_m
+        x[act] = xa
+        node = float(k + 1)
+        restart = np.flatnonzero(~on & (sig_pending == node))
+        if restart.size:
+            on[restart] = True
+            on_start[restart] = node
+            x[restart] = x_ref * np.exp(-a_off * (node - tau_last[restart]))
 
-    horizon = float(cfg.horizon)
+    # Group the passages by replica; a stable sort keeps each replica's in time order.
+    rows, tau, step = (np.concatenate(e) if ev_rows else np.empty(0)
+                       for e in (ev_rows, ev_tau, ev_step))
+    order = np.argsort(rows, kind="stable")
+    bounds = np.searchsorted(rows[order], np.arange(1, B))
+    taus, steps = np.split(tau[order], bounds), np.split(step[order], bounds)
+    sigmas = [np.floor(tb) + 1.0 for tb in taus]
+
+    normals = None  # no longer needed; freed before the mode array is allocated
+    grid_t = np.arange(n + 1) / spu
+    ys = None
+    if record_paths:
+        ys = np.full((B, n + 1), MODE_ON, dtype=np.int8)
+        for b in range(B):
+            if not len(taus[b]):
+                continue
+            # OFF from the node after each passage; x decays up to and
+            # including the restart node, where y is ON again.
+            restart_nodes = sigmas[b].astype(np.int64) * spu
+            start = steps[b] + 1
+            lens = np.minimum(restart_nodes, n) + 1 - start
+            idx = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
+            xs[b, idx] = x_ref * np.exp(-a_off * (grid_t[idx] - np.repeat(taus[b], lens)))
+            ys[b, idx] = MODE_OFF
+            ys[b, restart_nodes[restart_nodes <= n]] = MODE_ON
+
     schedules = [
         ReplicaSchedule(
-            taus=np.asarray(taus[b]),
-            sigmas=np.asarray(sigmas[b]),
-            partial_final_on=bool(on[b] and on_start[b] < horizon and cfg.horizon > 0),
+            taus=taus[b],
+            sigmas=sigmas[b],
+            partial_final_on=bool(on[b] and on_start[b] < horizon and horizon > 0),
         )
         for b in range(B)
     ]

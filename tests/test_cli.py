@@ -283,6 +283,8 @@ BAD_SETTINGS = [
     (["mc-sweep", "--grid-step", "1e-300"], "grid-size cap"),
     (["mc-sweep", "--epsilons", "1e-100", "--nu", "0.6"], "grid-size cap"),
     (["simulate-det", "--horizon", "1000000000"], "grid-size cap"),
+    (["mc-sweep", "--epsilons", "0.1", "--nu", "0.3", "--frak-t", "1" + "0" * 320], "frak_t"),
+    (["mc-sweep", "--epsilons", "0.1,0.1"], "must not repeat"),
 ]
 
 

@@ -7,6 +7,7 @@ from scipy.stats import norm
 from bucksim import (ConfigError, DomainError, McConfig, bad_event_probs,
                      distance_moment, gaussian_tail, gaussian_tail_bound,
                      montecarlo, sweep, wilson_interval)
+from bucksim.errors import MAX_GRID_POINTS
 from bucksim.montecarlo import CSV_COLUMNS
 
 
@@ -62,9 +63,29 @@ def test_mcconfig_validation():
         McConfig(epsilons=(0.1,), frak_t=0).validate()
     for bad in (dict(epsilons=()), dict(p=math.nan), dict(t_cap=0), dict(t_cap=2.5),
                 dict(grid_step=0.0), dict(grid_step=math.nan), dict(dt=math.nan),
-                dict(seed=-1), dict(seed=1.5)):
+                dict(seed=-1), dict(seed=1.5), dict(epsilons=(0.1, 0.1)),
+                dict(epsilons=(0.0, 0.05, -0.0)), dict(frak_t=MAX_GRID_POINTS + 1),
+                dict(frak_t=10 ** 320, nu=0.3)):
         with pytest.raises(ConfigError):
             McConfig(**{"epsilons": (0.1,), **bad}).validate()
+    McConfig(epsilons=(0.1,), frak_t=MAX_GRID_POINTS, t_cap=1).validate()
+
+
+def test_distance_grid_checked_before_any_batch(p0, dc0, monkeypatch):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("a batch was simulated")
+
+    cfg = McConfig(epsilons=(0.1,), frak_t=1, replicas=600, grid_step=1e-300)
+    bad_event_probs(p0, dc0, McConfig(epsilons=(0.1,), frak_t=1, replicas=4,
+                                      grid_step=1e-300), 0.1)  # grid_step unused
+    monkeypatch.setattr(montecarlo, "simulate_batch", no_batch)
+    for run in (sweep, lambda *a: distance_moment(*a, 0.1)):
+        with pytest.raises(ConfigError, match="distance evaluation grid"):
+            run(p0, dc0, cfg)
+    # Only the second noise level's grid (T_eps = 40, 4e7 nodes) is over the cap.
+    later = McConfig(epsilons=(0.1, 0.01), nu=0.5, frak_t=4, replicas=2, grid_step=1e-6)
+    with pytest.raises(ConfigError, match="distance evaluation grid"):
+        sweep(p0, dc0, later)
 
 
 def test_horizon_scaling_rule():

@@ -1,4 +1,7 @@
+import hashlib
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -206,3 +209,89 @@ def test_replica_generator_is_philox_counter_based():
     a = replica_generator(0, 1).standard_normal(4)
     b = replica_generator(0, 1).standard_normal(4)
     assert np.array_equal(a, b)
+
+
+def _batch_digest(res) -> str:
+    """sha256 of every schedule (taus, sigmas, partial_final_on) and of xs, ys."""
+    h = hashlib.sha256()
+    for s in res.schedules:
+        h.update(s.taus.tobytes())
+        h.update(s.sigmas.tobytes())
+        h.update(bytes([s.partial_final_on]))
+    if res.xs is not None:
+        h.update(res.xs.tobytes())
+        h.update(res.ys.tobytes())
+    return h.hexdigest()
+
+
+# Digests recorded with the step-by-step engine that visited every grid step
+# of every replica; the period-by-period engine must reproduce them bit for
+# bit.  (config, replica ids, start below the border, digest with paths,
+# digest without paths)
+ENGINE_PINS = {
+    "bridge": (dict(epsilon=0.05, horizon=3, seed=7), [5, 0, 17], False,
+               "99b3145ab8c94d70cef0f7a95d4de0a5e3b11e63ed9e0b960216c9c73fd88aed",
+               "2850add979767cc82d0c1ea3c310e01c7d942b2b35f79a1831ac64a909240b17"),
+    "no-bridge": (dict(epsilon=0.05, horizon=3, seed=7, bridge_correction=False),
+                  [5, 0, 17], False,
+                  "22c062875e67c61ce1a35415ea75db083eb624616167043efd02d2d139884ba4",
+                  "d7ff6393873f75b9c5c45919e53c8a19e999525ae1ae24e09d08f903075131cd"),
+    "eps-0": (dict(epsilon=0.0, horizon=3, seed=7), [0, 1], False,
+              "8f9ba1f1a190c9ecca099d2fa8d170a8310fa7ea87f36894912a530e6fd0b345",
+              "47fa2660001dbf2e6d2bd2fde8e12e5cc4cf0fb5dff94b840439b10e5bf6be92"),
+    "slow-passages": (dict(epsilon=0.3, horizon=8, seed=11), list(range(40)), False,
+                      "5735ba8d2bb958dc9f45b384e52238edfb61fee2abbcfe12d174d07b0bc25526",
+                      "5aacf1a2b48193761ffdcc23e37a872f1238185fab1794d23ca4a0ee31c016f9"),
+    "slow-start": (dict(epsilon=0.3, horizon=4, seed=2), [3, 1], True,
+                   "ed5b2b295453e04dfec5b28b5788174c212fafcd88997058e0ac31198ffb8843",
+                   "9f832c7e363d9c2cba9af9548fc1a58f4f3bfced6c63de5532211964d934f93d"),
+    "partial-final-on": (dict(epsilon=0.05, horizon=1, seed=4), [2, 9, 4], True,
+                         "57f2e78ebed69f21ae8cd270bb5bb4e0ddf9bb58778744796b1abbde4bd0e5c5",
+                         "75c8fd04ad916aec3e3d5cb76a452b116b3d4d0912a0a485e9fb8e3d240e210c"),
+    "horizon-0": (dict(epsilon=0.05, horizon=0, seed=7), [5, 0, 17], False,
+                  "b52d8d04c2b36f202000d202f8aeb80fc909bd5d91d769cc3d67eca450ad1530",
+                  "709e80c88487a2411e1ee4dfb9f22a861492d20c4765150c0c794abd70f8147c"),
+    "horizon-1": (dict(epsilon=0.05, horizon=1, seed=7), [5, 0, 17], False,
+                  "9d2b2f7fc42fab2dbbba3431e7682373116dc805020f019594f13927ae7db46b",
+                  "da69774dc742ab71af7b12e3d8bdfb481147ba84a4d01764e86c03cc4f8c7b89"),
+}
+
+
+@pytest.mark.parametrize("record_paths", [True, False], ids=["paths", "no-paths"])
+@pytest.mark.parametrize("case", sorted(ENGINE_PINS))
+def test_engine_bytes_pinned(p0, dc0, case, record_paths):
+    kw, ids, below_border, with_paths, without_paths = ENGINE_PINS[case]
+    x0 = 0.5 * border_point(p0) if below_border else dc0.x_star
+    res = simulate_batch(p0, x0, StochConfig(dt=1e-3, **kw), ids, record_paths=record_paths)
+    assert _batch_digest(res) == (with_paths if record_paths else without_paths)
+    if case.startswith("slow"):
+        # The case keeps its point: some ON phase spans a clock pulse.
+        assert any(np.any(s.taus - np.concatenate([[0.0], s.sigmas[:-1]]) >= 1.0)
+                   for s in res.schedules if len(s.taus))
+    if case == "partial-final-on":
+        assert all(s.partial_final_on for s in res.schedules)
+
+
+def test_batch_memory_is_one_normal_array(p0, dc0):
+    # Without paths a batch holds its pre-drawn normals (B n doubles) and one
+    # period of bridge uniforms, not the uniforms of the whole horizon.
+    B, cfg = 64, StochConfig(epsilon=0.05, dt=1e-3, horizon=10, seed=3)
+    n = cfg.horizon * cfg.steps_per_unit()
+    tracemalloc.start()
+    try:
+        simulate_batch(p0, dc0.x_star, cfg, range(B), record_paths=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * B * n * 8
+
+
+def test_bridge_test_emits_no_float_warnings(p0, dc0):
+    # At an endpoint crossing the bridge exponent is positive, of order
+    # (drift step)^2 / (eps^2 dt): about 1e4 here.  It is clamped at 0, so
+    # exp never overflows.
+    cfg = StochConfig(epsilon=1e-4, dt=1e-3, horizon=3, seed=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = simulate_batch(p0, dc0.x_star, cfg, range(32), record_paths=True)
+    assert all(len(s.taus) for s in res.schedules)
