@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from . import __version__
 from .configfile import COMMAND_SETTINGS, parse_bool, resolve
 from .deterministic import sample_path, simulate_det
-from .errors import BucksimError, ConfigError, DomainError, grids_per_batch
+from .errors import BucksimError, ConfigError, DomainError, batch_ranges
 from .montecarlo import McConfig, _has_anomaly, deformation_for, sweep
 from .output import atomic_write_text, csv_text, format_value, write_json
 from .params import ConverterParams, derive_constants, validate_params
@@ -133,9 +133,8 @@ def _cmd_simulate_sde(s: SimpleNamespace) -> int:
     anomalies = 0
     # Batches of the default sweep size, split under the grid cap; every
     # replica has its own stream, so the chunking changes no byte.
-    chunk = grids_per_batch(McConfig.batch_size, cfg.grid_nodes(), "one replica's grid")
-    for start in range(0, s.replicas, chunk):
-        ids = range(start, min(start + chunk, s.replicas))
+    for ids in batch_ranges(s.replicas, McConfig.batch_size, cfg.grid_nodes(),
+                            "one replica's grid"):
         res = simulate_batch(p, dc.x_star, cfg, ids, record_paths=s.emit_paths)
         for b, (k, sched) in enumerate(zip(ids, res.schedules)):
             rows.extend((k, n + 1, tau, sigma)
@@ -174,9 +173,9 @@ def _cmd_mc_sweep(s: SimpleNamespace) -> int:
     p = _build(ConverterParams, s)
     dc = derive_constants(p)
     report = sweep(p, dc, _build(McConfig, s))
+    summary = report.summary()  # may still raise; no artifact is written then
     out = _out_dir(s, required=True)
     atomic_write_text(out / "report.csv", report.to_csv_text())
-    summary = report.summary()
     write_json(out / "summary.json", summary)
     for row in summary["per_epsilon"]:
         note = "" if row["delta_within_dplus"] else "  [delta >= delta_plus: bound not guaranteed]"

@@ -110,11 +110,6 @@ class DetPath:
         t = t[(t > 0.0) & (t < self.horizon)]
         return np.sort(t)
 
-    def slope_bound(self) -> float:
-        """Upper bound on |dx/dt| along the path (both flows)."""
-        p = self.params
-        return max(p.beta, p.alpha_off * p.x_ref)
-
     def eval(self, t) -> tuple[np.ndarray, np.ndarray]:
         """State (x, y) at time(s) t in [0, horizon]; y right-continuous."""
         q = np.atleast_1d(np.asarray(t, dtype=float))

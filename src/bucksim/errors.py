@@ -8,10 +8,10 @@ cap, lives here too: exceeding it is a configuration problem.
 """
 
 # Largest grid one array may span: replicas x nodes of a stochastic batch
-# (at most 16 B per replica-node with recorded paths: the normals and x while
-# stepping, x and the mode after; so about 0.54 GB at the cap), or the
-# sample/evaluation points of one path.  Sweeps and simulate-sde
-# split their replicas into batches under it.
+# (with recorded paths 16 B per replica-node while stepping, the normals and
+# x, so about 0.54 GB at the cap, and 8 B after; the 1 B mode array is built
+# only when BatchResult.ys is read), or the sample/evaluation points of one
+# path.  Sweeps and simulate-sde split their replicas into batches under it.
 MAX_GRID_POINTS = 2 ** 25
 
 
@@ -42,10 +42,12 @@ def check_grid_size(points: float, what: str) -> None:
                           "points; use a coarser step or a shorter horizon")
 
 
-def grids_per_batch(wanted: int, points_each: int, what: str) -> int:
-    """How many grids of `points_each` nodes, at most `wanted`, fit together under the cap.
+def batch_ranges(count: int, batch_size: int, points_each: int, what: str) -> list[range]:
+    """Split range(count) into consecutive batches of at most batch_size items.
 
-    Raises ConfigError when a single grid does not fit.
+    A batch is smaller when its grids of `points_each` nodes would together
+    exceed the cap.  Raises ConfigError when a single grid does not fit.
     """
     check_grid_size(points_each, what)
-    return min(wanted, MAX_GRID_POINTS // points_each)
+    size = min(batch_size, MAX_GRID_POINTS // points_each)
+    return [range(i, min(i + size, count)) for i in range(0, count, size)]

@@ -25,6 +25,7 @@ report bytes are independent of the worker count and the batch size.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .deterministic import DetPath, simulate_det
-from .errors import ConfigError, DomainError, check_grid_size, grids_per_batch
+from .errors import ConfigError, DomainError, batch_ranges, check_grid_size
 from .output import csv_text
 from .params import ConverterParams, DerivedConstants
 from .skorokhod import (TimeDeformation, align_schedules, distance_grid_nodes,
@@ -217,8 +218,7 @@ def _ensemble_batch(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
         first_bad[b], bad_sign[b] = _first_bad_cycle(det_t, sched.taus, delta, t_eps)
         anomaly[b] = _has_anomaly(sched.taus, sched.sigmas)
         if want_distance:
-            z2 = StochPath(t=res.grid_t, x=res.xs[b], y=res.ys[b], schedule=sched,
-                           config=scfg, replica=ids[b], level=p.x_ref)
+            z2 = StochPath(t=res.grid_t, x=res.xs[b], schedule=sched, level=p.x_ref)
             lam, _ = deformation_for(det, sched, float(t_eps), first_bad[b] == 0)
             d_bound[b] = skorokhod_upper_bound(det, z2, lam,
                                                grid_step=cfg.grid_step).bound
@@ -238,12 +238,13 @@ def _replica_tallies(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
         # Fail before the first batch, not in the first distance bound.
         distance_grid_nodes(float(cfg.horizon_for(eps)), cfg.grid_step)
     run = partial(_ensemble_batch, p, dc, cfg, eps, want_distance=want_distance)
-    # Bytes do not depend on the batch size, so a batch over the grid cap is split.
-    size = grids_per_batch(cfg.batch_size, cfg.stoch_config(eps).grid_nodes(),
+    # Bytes depend on neither the batch size nor the worker count, so a batch
+    # over the grid cap is split and the pool never outnumbers the CPUs.
+    batches = batch_ranges(N, cfg.batch_size, cfg.stoch_config(eps).grid_nodes(),
                            f"one replica's grid at epsilon={eps!r}")
-    batches = [range(i, min(i + size, N)) for i in range(0, N, size)]
-    if cfg.workers > 1 and len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(batches))) as pool:
+    workers = min(cfg.workers, len(batches), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, batches))
     else:
         results = [run(ids) for ids in batches]
@@ -335,12 +336,18 @@ class MomentEstimate:
 
 
 def _moment_estimate(tab: BadEventTable, p_order: float, d: np.ndarray) -> MomentEstimate:
-    dp = d ** p_order
-    se = float(dp.std(ddof=1) / math.sqrt(len(dp))) if len(dp) > 1 else 0.0
+    """E[d^p] and its standard error; DomainError when either overflows double precision."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dp = d ** p_order
+        moment = float(dp.mean())
+        se = float(dp.std(ddof=1) / math.sqrt(len(dp))) if len(dp) > 1 else 0.0
+    if not (math.isfinite(moment) and math.isfinite(se)):
+        raise DomainError(f"E[d^p] or its standard error overflows at p={p_order!r} "
+                          f"(epsilon={tab.epsilon!r}); use a smaller p")
     return MomentEstimate(
         epsilon=tab.epsilon, t_eps=tab.t_eps, delta=tab.delta,
         replicas=tab.replicas, p=p_order,
-        moment=float(dp.mean()), se=se, mean_d=float(d.mean()),
+        moment=moment, se=se, mean_d=float(d.mean()),
         q90=float(np.quantile(d, 0.9)), q99=float(np.quantile(d, 0.99)),
         good_freq=tab.good_freq, anomaly_count=tab.anomaly_count,
     )
@@ -361,7 +368,7 @@ def bad_event_probs(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
 
 def distance_moment(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
                     eps: float) -> MomentEstimate:
-    """Estimate E[d^p] through per-replica distance bounds (grid slack not added)."""
+    """Estimate E[d^p] through per-replica grid-resolved distance bounds."""
     return _verdicts(p, dc, cfg, eps, want_distance=True)[1]
 
 
@@ -417,6 +424,10 @@ class McReport:
                         key=lambda t: -t[0])
         ordered = [v for _, v in by_eps]
         decreasing = all(a > b for a, b in zip(ordered, ordered[1:]))
+        ratio = ordered[-1] / ordered[0] if len(ordered) > 1 and ordered[0] > 0 else None
+        if ratio is not None and not math.isfinite(ratio):
+            raise DomainError(f"the moment ratio overflows at p={self.config.p!r}; "
+                              "use a smaller p")
         summary = {
             "p": self.config.p,
             "nu": self.config.nu,
@@ -425,8 +436,7 @@ class McReport:
             "seed": self.config.seed,
             "per_epsilon": per_eps,
             "moment_strictly_decreasing": bool(decreasing) if len(ordered) > 1 else None,
-            "moment_ratio_last_to_first": (ordered[-1] / ordered[0])
-            if len(ordered) > 1 and ordered[0] > 0 else None,
+            "moment_ratio_last_to_first": ratio,
             "all_bounds_ok": all(r["bound_dominance_ok"] for r in per_eps),
         }
         return summary

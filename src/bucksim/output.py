@@ -1,8 +1,9 @@
 """Atomic file emission and number formatting for CSV/JSON artifacts.
 
 Floats are written with 17 significant digits so every value round-trips
-exactly; files are written to a temporary sibling and renamed into place so
-an interrupted run never leaves a truncated artifact at the declared path.
+exactly, and JSON refuses non-finite floats; files are written to a
+temporary sibling and renamed into place so an interrupted run never leaves
+a truncated artifact at the declared path.
 """
 
 from __future__ import annotations
@@ -41,4 +42,4 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_json(path: str | Path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")

@@ -13,7 +13,8 @@ its grid samples exist only for output.
 A batch runs one clock period at a time: in [k, k + 1] only the replicas
 ON at node k are stepped, each until its passage, and the period ends as
 soon as none is left.  Restarts are applied at the integer nodes and the
-OFF stretches of recorded paths are filled in closed form afterwards.
+OFF stretches of recorded paths are filled in closed form afterwards.  A
+replica's mode is not stored: its schedule fixes it (schedule_modes).
 
 Replica k of an ensemble draws from a counter-based Philox stream derived
 from (seed, k), so ensembles are reproducible independent of batching or
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -139,15 +141,17 @@ class ReplicaSchedule:
 
 @dataclass(frozen=True)
 class StochPath:
-    """One simulated replica: grid samples plus its switching schedule."""
+    """One simulated replica: grid samples of x plus its switching schedule."""
 
     t: np.ndarray
     x: np.ndarray
-    y: np.ndarray
     schedule: ReplicaSchedule
-    config: StochConfig
-    replica: int
     level: float  # threshold the path was clamped to at passages (x_ref)
+
+    @property
+    def y(self) -> np.ndarray:
+        """Mode at the grid times, derived from the schedule."""
+        return schedule_modes(self.schedule.taus, self.schedule.sigmas, self.t)
 
     @property
     def horizon(self) -> float:
@@ -171,11 +175,17 @@ class StochPath:
             return float(x[0]), int(y[0])
         return x, y
 
-    def slope_bound(self) -> float:
-        """Max interpolant slope between consecutive sample knots."""
-        dx = np.abs(np.diff(self.x))
-        dt = np.diff(self.t)
-        return float((dx / dt).max()) if len(dx) else 0.0
+
+def schedule_modes(taus: np.ndarray, sigmas: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Mode (int8) at times q of a replica with this schedule.
+
+    Right-continuous: OFF on each [tau_n, sigma_n), ON elsewhere.
+    """
+    bnds = np.empty(2 * len(taus))
+    bnds[0::2] = taus
+    bnds[1::2] = sigmas
+    idx = np.searchsorted(bnds, q, side="right")
+    return np.where(idx % 2 == 0, MODE_ON, MODE_OFF).astype(np.int8)
 
 
 def eval_sampled_path(grid_t: np.ndarray, grid_x: np.ndarray, taus: np.ndarray,
@@ -185,7 +195,7 @@ def eval_sampled_path(grid_t: np.ndarray, grid_x: np.ndarray, taus: np.ndarray,
 
     x is linear between knots; the knot set is the sample grid augmented
     with the passage times, where x equals the clamp level exactly.  y is
-    right-continuous: ON before each tau, OFF until the matching sigma.
+    given by the schedule (schedule_modes).
     """
     if len(taus):
         ins = np.searchsorted(grid_t, taus)
@@ -193,23 +203,26 @@ def eval_sampled_path(grid_t: np.ndarray, grid_x: np.ndarray, taus: np.ndarray,
         knot_x = np.insert(grid_x, ins, level)
     else:
         knot_t, knot_x = grid_t, grid_x
-    x = np.interp(q, knot_t, knot_x)
-    bnds = np.empty(2 * len(taus))
-    bnds[0::2] = taus
-    bnds[1::2] = sigmas
-    idx = np.searchsorted(bnds, q, side="right")
-    y = np.where(idx % 2 == 0, MODE_ON, MODE_OFF).astype(np.int8)
-    return x, y
+    return np.interp(q, knot_t, knot_x), schedule_modes(taus, sigmas, q)
 
 
 @dataclass
 class BatchResult:
-    """Ensemble slice: schedules always, grid samples when requested."""
+    """Ensemble slice: schedules always, grid samples of x when requested."""
 
     grid_t: np.ndarray
     schedules: list[ReplicaSchedule]
     xs: np.ndarray | None
-    ys: np.ndarray | None
+
+    @cached_property
+    def ys(self) -> np.ndarray | None:
+        """Modes (int8, replicas x grid nodes) derived from the schedules; None without paths."""
+        if self.xs is None:
+            return None
+        ys = np.empty(self.xs.shape, dtype=np.int8)
+        for b, s in enumerate(self.schedules):
+            ys[b] = schedule_modes(s.taus, s.sigmas, self.grid_t)
+        return ys
 
 
 def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
@@ -337,23 +350,19 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     taus, steps = np.split(tau[order], bounds), np.split(step[order], bounds)
     sigmas = [np.floor(tb) + 1.0 for tb in taus]
 
-    normals = None  # no longer needed; freed before the mode array is allocated
+    normals = None  # released, so the OFF fill's temporaries do not raise the peak
     grid_t = np.arange(n + 1) / spu
-    ys = None
     if record_paths:
-        ys = np.full((B, n + 1), MODE_ON, dtype=np.int8)
         for b in range(B):
             if not len(taus[b]):
                 continue
-            # OFF from the node after each passage; x decays up to and
-            # including the restart node, where y is ON again.
+            # x decays from the node after each passage up to and including
+            # the restart node.
             restart_nodes = sigmas[b].astype(np.int64) * spu
             start = steps[b] + 1
             lens = np.minimum(restart_nodes, n) + 1 - start
             idx = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
             xs[b, idx] = x_ref * np.exp(-a_off * (grid_t[idx] - np.repeat(taus[b], lens)))
-            ys[b, idx] = MODE_OFF
-            ys[b, restart_nodes[restart_nodes <= n]] = MODE_ON
 
     schedules = [
         ReplicaSchedule(
@@ -363,7 +372,7 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
         )
         for b in range(B)
     ]
-    return BatchResult(grid_t=grid_t, schedules=schedules, xs=xs, ys=ys)
+    return BatchResult(grid_t=grid_t, schedules=schedules, xs=xs)
 
 
 def simulate_stoch(p: ConverterParams, z0: tuple[float, int], cfg: StochConfig,
@@ -373,12 +382,4 @@ def simulate_stoch(p: ConverterParams, z0: tuple[float, int], cfg: StochConfig,
     if y0 != MODE_ON:
         raise DomainError("simulate_stoch: the initial mode must be ON")
     res = simulate_batch(p, x0, cfg, [replica], record_paths=True)
-    return StochPath(
-        t=res.grid_t,
-        x=res.xs[0],
-        y=res.ys[0],
-        schedule=res.schedules[0],
-        config=cfg,
-        replica=replica,
-        level=p.x_ref,
-    )
+    return StochPath(t=res.grid_t, x=res.xs[0], schedule=res.schedules[0], level=p.x_ref)

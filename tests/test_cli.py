@@ -252,6 +252,24 @@ def test_mc_sweep_outputs_and_determinism(cfg_file, tmp_path):
                       "bound,emp_d_mean,emp_dp_moment,dp_se,good_freq,anomalies")
 
 
+@pytest.mark.parametrize("argv", [
+    # d^p of the bounds above 1 overflows at p = 2000.
+    ["--epsilons", "0.3", "--replicas", "50", "--p", "2000"],
+    # Both moments are finite, but the first is subnormal (about 1e-323) and
+    # their ratio overflows.
+    ["--epsilons", "0.08,0.064", "--replicas", "3", "--p", "500", "--seed", "163"],
+], ids=["moment", "ratio"])
+def test_overflowing_moment_is_domain_error(cfg_file, tmp_path, capsys, argv):
+    # No Infinity or NaN is written, and no artifact at all.
+    out = tmp_path / "mc"
+    rc = main(["mc-sweep", "--config", cfg_file, "--frak-t", "2", "--dt", "0.01", "--quiet",
+               "--out", str(out)] + argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("domain error:") and f"p={float(argv[argv.index('--p') + 1])!r}" in err
+    assert not out.exists()
+
+
 # (argv, the setting the error message must name)
 BAD_SETTINGS = [
     (["mc-sweep", "--epsilons", "0.1,abc"], "mc.epsilons"),

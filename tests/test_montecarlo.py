@@ -181,7 +181,8 @@ def test_sweep_deterministic_and_worker_independent(p0, dc0):
 
 
 def test_pool_sized_to_batches(p0, dc0, monkeypatch):
-    # Serial stand-in for the process pool: records its size, starts no process.
+    # Serial stand-in for the process pool: records its size, starts no
+    # process.  The pool is capped by the batches and by the CPU count.
     sizes = []
 
     class SerialPool:
@@ -198,9 +199,17 @@ def test_pool_sized_to_batches(p0, dc0, monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
-    cfg = _small_cfg(replicas=20, batch_size=10, workers=64)
-    bad_event_probs(p0, dc0, cfg, 0.1)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    bad_event_probs(p0, dc0, _small_cfg(replicas=20, batch_size=10, workers=64), 0.1)
     assert sizes == [2]
+    many_batches = _small_cfg(replicas=40, batch_size=1, workers=100000)
+    bad_event_probs(p0, dc0, many_batches, 0.1)
+    assert sizes == [2, 8]
+    for cpus in (1, None):
+        # One usable CPU, or an unknown count: the batches run in this process.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        bad_event_probs(p0, dc0, many_batches, 0.1)
+    assert sizes == [2, 8]
 
 
 def test_good_event_constructive_pieces(p0, dc0):

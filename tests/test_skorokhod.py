@@ -206,9 +206,6 @@ class _ConstPath:
         return (np.full(qa.shape, self.value),
                 np.ones(qa.shape, dtype=np.int8))
 
-    def slope_bound(self):
-        return 0.0
-
 
 def test_bruteforce_identical_paths_zero(p0, dc0):
     z1 = simulate_det(p0, (dc0.x_star, 1), 2)

@@ -263,6 +263,7 @@ def test_engine_bytes_pinned(p0, dc0, case, record_paths):
     kw, ids, below_border, with_paths, without_paths = ENGINE_PINS[case]
     x0 = 0.5 * border_point(p0) if below_border else dc0.x_star
     res = simulate_batch(p0, x0, StochConfig(dt=1e-3, **kw), ids, record_paths=record_paths)
+    assert "ys" not in vars(res)  # the modes are derived from the schedules when read
     assert _batch_digest(res) == (with_paths if record_paths else without_paths)
     if case.startswith("slow"):
         # The case keeps its point: some ON phase spans a clock pulse.
