@@ -9,9 +9,11 @@ cap, lives here too: exceeding it is a configuration problem.
 
 # Largest grid one array may span: replicas x nodes of a stochastic batch
 # (with recorded paths 16 B per replica-node while stepping, the normals and
-# x, so about 0.54 GB at the cap, and 8 B after; the 1 B mode array is built
-# only when BatchResult.ys is read), or the sample/evaluation points of one
-# path.  Sweeps and simulate-sde split their replicas into batches under it.
+# x, so about 0.54 GB at the cap, and 8 B after; the stepping blocks add a
+# fixed scratch budget independent of the node count; the 1 B mode array is
+# built only when BatchResult.ys is read), or the sample/evaluation points
+# of one path.  Sweeps and simulate-sde split their replicas into batches
+# under it.
 MAX_GRID_POINTS = 2 ** 25
 
 

@@ -80,13 +80,6 @@ class TimeDeformation:
         """sup |log chord slope|; attained on a single linear piece."""
         return float(np.abs(np.log(self.slopes())).max())
 
-    def compose(self, inner: "TimeDeformation") -> "TimeDeformation":
-        """The deformation t -> self(inner(t))."""
-        if abs(self.horizon - inner.horizon) > 1e-12:
-            raise DomainError("composition requires matching horizons")
-        kt = np.unique(np.concatenate([inner.knots_t, inner.inverse()(self.knots_t)]))
-        return TimeDeformation(kt, self(inner(kt)))
-
 
 def align_schedules(det: DetSchedule, stoch: ReplicaSchedule,
                     horizon: float) -> TimeDeformation | None:

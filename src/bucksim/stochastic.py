@@ -11,18 +11,20 @@ steps.  The OFF state is deterministic decay and is evaluated closed-form;
 its grid samples exist only for output.
 
 A batch runs one clock period at a time: in [k, k + 1] only the replicas
-ON at node k are stepped, each until its passage, and the period ends as
-soon as none is left.  Restarts are applied at the integer nodes and the
-OFF stretches of recorded paths are filled in closed form afterwards.  A
-replica's mode is not stored: its schedule fixes it (schedule_modes).
+ON at node k are stepped, in blocks whose scratch is bounded independent
+of the grid size, until the block of their passage.  Restarts are applied
+at the integer nodes and the OFF stretches of recorded paths are filled in
+closed form afterwards.  A replica's mode is not stored: its schedule
+fixes it (schedule_modes).
 
 Replica k of an ensemble draws from a counter-based Philox stream derived
 from (seed, k), so ensembles are reproducible independent of batching or
 scheduling.  Within a replica the draw consumed at grid step i is always
 element i of its stream (normals first, then uniforms when the bridge test
 is enabled), which makes paths bit-reproducible.  All normals are drawn up
-front; the uniforms are drawn one period at a time, which yields the same
-values as one draw of the whole horizon.
+front and scaled to the step's sd one block at a time; the uniforms are
+drawn one period at a time, which yields the same values as one draw of
+the whole horizon.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ import numpy as np
 from .deterministic import MODE_OFF, MODE_ON
 from .errors import ConfigError, DomainError, check_grid_size
 from .params import ConverterParams, require_valid
+
+
+# A block of ON steps spans about BLOCK_ELEMENTS replica-steps (at most
+# BLOCK_STEPS_MAX steps), so its scratch arrays do not depend on n.
+BLOCK_ELEMENTS = 2 ** 14
+BLOCK_STEPS_MAX = 128
 
 
 def ou_step(p: ConverterParams, x: float, h: float, eps: float, gauss: float) -> float:
@@ -231,13 +239,15 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
 
     All replicas start from (x0, ON).  The grid time of node i is i / spu,
     an exact float ratio, so integer clock times are hit exactly.  In the
-    period [k, k + 1] only the replicas ON at node k are stepped: exact OU
-    update, then passage detection (endpoint crossing with interpolated
-    tau; optional bridge test with mid-step tau).  A replica leaves the
-    active set at its passage and the period ends once the set is empty.
-    OFF->ON restarts are applied at node k + 1 from the closed-form OFF
-    decay; the OFF stretches of recorded paths are filled in closed form
-    after the loop.
+    period [k, k + 1] the replicas ON at node k are stepped in blocks of L
+    steps (BLOCK_ELEMENTS over their count, capped at BLOCK_STEPS_MAX): the
+    exact OU update step by step, then one pass over the block for passage
+    detection (endpoint crossing with interpolated tau; optional bridge
+    test with mid-step tau).  Crossed replicas leave after the block; the
+    period ends once none is left.  OFF->ON restarts are applied at node
+    k + 1 from the closed-form OFF decay; the OFF stretches of recorded
+    paths, values stepped after a passage included, are filled in closed
+    form after the loop.
     """
     require_valid(p)
     cfg.validate()
@@ -259,17 +269,19 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     neg_inv_var = -(2.0 / (eps * eps * h)) if bridge else 0.0
 
     # Each replica's stream holds its n normals, then (bridge) its n uniforms.
-    # The normals are drawn up front and pre-scaled to the step's sd; the
-    # uniforms are drawn one period (spu values) at a time.
+    # The normals are drawn up front and scaled to the step's sd a block at
+    # a time; the uniforms are drawn one period (spu values) at a time, into
+    # the same array: a separate period buffer came from the malloc heap,
+    # where the block scratch fragmented it (about 3 MB more peak RSS).
     gens = ([replica_generator(cfg.seed, int(r), cfg.stream) for r in replica_ids]
             if eps > 0.0 else [])
-    normals = None
+    normals = uniforms = None
+    sd = ou_step_sd(p, h, eps)
     if eps > 0.0:
-        normals = np.empty((B, n))
+        draws = np.empty((B, n + spu * bridge))
+        normals, uniforms = draws[:, :n], draws[:, n:]
         for j, g in enumerate(gens):
             g.standard_normal(out=normals[j])
-        normals *= ou_step_sd(p, h, eps)
-    uniforms = np.empty((B, spu)) if bridge else None
 
     x = np.full(B, float(x0))   # state at the current node of every ON replica
     on = np.ones(B, dtype=bool)
@@ -291,49 +303,53 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
                 g.random(out=uniforms[j])
         act = np.flatnonzero(on)
         xa = x[act]
-        gap = x_ref - xa
-        for i in range(base, base + spu):
-            if not act.size:
-                break
-            xm = m + (xa - m) * decay_on
+        i0 = base
+        while act.size and i0 < base + spu:
+            # Steps i0 .. i0 + L - 1 of every active replica, time along axis 0.
+            L = min(max(BLOCK_ELEMENTS // act.size, 1), BLOCK_STEPS_MAX, base + spu - i0)
+            xb = np.empty((L + 1, act.size))
+            xb[0] = xa
             if normals is not None:
-                xm += normals[act, i]
-            up = xm >= x_ref
+                w = (normals[act, i0:i0 + L] * sd).T
+            for j in range(L):
+                xm = xb[j + 1]
+                np.subtract(xb[j], m, out=xm)
+                np.multiply(xm, decay_on, out=xm)
+                np.add(xm, m, out=xm)
+                if normals is not None:
+                    np.add(xm, w[j], out=xm)
+            up = xb[1:] >= x_ref
+            crossed = up
             if bridge:
                 # The exponent is <= 0 below the level; clamping it at 0 makes
                 # pb = 1 for endpoint crossings, which `up` already flags.
-                gap_m = x_ref - xm
-                pb = np.exp(np.minimum(neg_inv_var * gap * gap_m, 0.0))
-                crossed = up | (uniforms[act, i - base] < pb)
-            else:
-                crossed = up
+                gap = x_ref - xb
+                pb = np.exp(np.minimum(neg_inv_var * gap[:-1] * gap[1:], 0.0))
+                crossed = up | (uniforms[act, i0 - base:i0 - base + L].T < pb)
             if record_paths:
-                xs[act, i + 1] = xm  # a crosser's value is replaced by the OFF fill
-            if crossed.any():
-                c = np.flatnonzero(crossed)
-                t0 = i / spu
-                tv = np.full(c.size, t0 + 0.5 * h)
-                hit = up[c]
-                if hit.any():
-                    cu = c[hit]
-                    # den == 0 only when the phase both starts and ends exactly
-                    # at the threshold; place tau at the step start then.
-                    den = np.maximum(xm[cu] - xa[cu], 1e-300)
-                    tv[hit] = t0 + h * ((x_ref - xa[cu]) / den)
-                rows = act[c]
-                ev_rows.append(rows)
-                ev_tau.append(tv)
-                ev_step.append(np.full(c.size, i))
-                on[rows] = False
-                tau_last[rows] = tv
-                sig_pending[rows] = np.floor(tv) + 1.0
-                keep = ~crossed
-                act, xm = act[keep], xm[keep]
-                if bridge:
-                    gap_m = gap_m[keep]
-            xa = xm
-            if bridge:
-                gap = gap_m
+                # Values after a passage are replaced by the OFF fill.
+                xs[act, i0 + 1:i0 + L + 1] = xb[1:].T
+            done = crossed.any(axis=0)
+            c = np.flatnonzero(done)
+            jc = crossed[:, c].argmax(axis=0)  # step of each crosser's first passage
+            t0 = (i0 + jc) / spu
+            tv = t0 + 0.5 * h
+            hit = up[jc, c]
+            if hit.any():
+                ju, cu = jc[hit], c[hit]
+                # den == 0 only when the phase both starts and ends exactly
+                # at the threshold; place tau at the step start then.
+                den = np.maximum(xb[ju + 1, cu] - xb[ju, cu], 1e-300)
+                tv[hit] = t0[hit] + h * ((x_ref - xb[ju, cu]) / den)
+            rows = act[c]
+            ev_rows.append(rows)
+            ev_tau.append(tv)
+            ev_step.append(i0 + jc)
+            on[rows] = False
+            tau_last[rows] = tv
+            sig_pending[rows] = np.floor(tv) + 1.0
+            act, xa = act[~done], xb[L, ~done]
+            i0 += L
         x[act] = xa
         node = float(k + 1)
         restart = np.flatnonzero(~on & (sig_pending == node))
@@ -350,7 +366,7 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     taus, steps = np.split(tau[order], bounds), np.split(step[order], bounds)
     sigmas = [np.floor(tb) + 1.0 for tb in taus]
 
-    normals = None  # released, so the OFF fill's temporaries do not raise the peak
+    normals = uniforms = draws = None  # released: the OFF fill's temporaries stay off the peak
     grid_t = np.arange(n + 1) / spu
     if record_paths:
         for b in range(B):

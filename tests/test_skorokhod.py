@@ -76,18 +76,6 @@ def test_distortion_dominates_two_point_quotients():
         assert chord.max() <= g + 1e-9
 
 
-def test_composition_subadditive():
-    rng = np.random.default_rng(10)
-    for _ in range(50):
-        kt1 = np.concatenate([[0.0], np.sort(rng.uniform(0.5, 9.5, 3)), [10.0]])
-        kv1 = np.concatenate([[0.0], np.sort(rng.uniform(0.5, 9.5, 3)), [10.0]])
-        kt2 = np.concatenate([[0.0], np.sort(rng.uniform(0.5, 9.5, 3)), [10.0]])
-        kv2 = np.concatenate([[0.0], np.sort(rng.uniform(0.5, 9.5, 3)), [10.0]])
-        lam, mu = TimeDeformation(kt1, kv1), TimeDeformation(kt2, kv2)
-        comp = lam.compose(mu)
-        assert comp.distortion() <= lam.distortion() + mu.distortion() + 1e-12
-
-
 def test_inverse_round_trip():
     lam = TimeDeformation(np.array([0.0, 0.4, 1.0]), np.array([0.0, 0.45, 1.0]))
     q = np.linspace(0.0, 1.0, 11)

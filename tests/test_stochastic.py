@@ -9,7 +9,7 @@ import pytest
 from bucksim import (ConfigError, DomainError, StochConfig, border_point,
                      crossing_probability, on_flow, ou_step, replica_generator,
                      simulate_batch, simulate_det, simulate_stoch)
-from bucksim.stochastic import ou_step_sd
+from bucksim.stochastic import BLOCK_ELEMENTS, BLOCK_STEPS_MAX, ou_step_sd
 
 
 def test_ou_step_zero_noise_is_deterministic_flow(p0, dc0):
@@ -225,9 +225,10 @@ def _batch_digest(res) -> str:
 
 
 # Digests recorded with the step-by-step engine that visited every grid step
-# of every replica; the period-by-period engine must reproduce them bit for
-# bit.  (config, replica ids, start below the border, digest with paths,
-# digest without paths)
+# of every replica (the block-edge cases with the period-by-period engine
+# that stepped its ON replicas one step at a time); the time-blocked engine
+# must reproduce them bit for bit.  (config (dt 1e-3 unless given), replica
+# ids, start below the border, digest with paths, digest without paths)
 ENGINE_PINS = {
     "bridge": (dict(epsilon=0.05, horizon=3, seed=7), [5, 0, 17], False,
                "99b3145ab8c94d70cef0f7a95d4de0a5e3b11e63ed9e0b960216c9c73fd88aed",
@@ -254,6 +255,21 @@ ENGINE_PINS = {
     "horizon-1": (dict(epsilon=0.05, horizon=1, seed=7), [5, 0, 17], False,
                   "9d2b2f7fc42fab2dbbba3431e7682373116dc805020f019594f13927ae7db46b",
                   "da69774dc742ab71af7b12e3d8bdfb481147ba84a4d01764e86c03cc4f8c7b89"),
+    # Block edges: a period shorter than one block, blocks shortened by the
+    # element budget, and many passages per block, some on a period's last step.
+    "short-period": (dict(dt=1 / 7, epsilon=0.1, horizon=6, seed=3), [5, 0, 17, 3], False,
+                     "6d6bee53c8f7eb193e20274e00c23b2730c6ab23af8bdc0f4caa014253a83fdf",
+                     "8c2b3ca1c38975f078d981f610188923f9e24cf0933294bd524749345a23d851"),
+    "budget-shortened": (dict(epsilon=0.05, horizon=2, seed=8), list(range(600)), False,
+                         "73389857ecca4abc124069c62c23f509dac0759ec5fa1b8ea09834da46cbc1cc",
+                         "439cbb62020b92d80719f6717ef5839a88c651d68e25b38e76717053710d1de9"),
+    "crowded-blocks": (dict(dt=0.1, epsilon=0.3, horizon=6, seed=12), list(range(200)), False,
+                       "000317e42f036a0541508eb4757546aa4b8aab303610728ca8f55f4077f68699",
+                       "1919369a5c6a4cdeddda970867f6d1193117f80229642397abfc44a0f8ed2260"),
+    "crowded-no-bridge": (dict(dt=0.1, epsilon=0.3, horizon=6, seed=12,
+                               bridge_correction=False), list(range(200)), False,
+                          "bb1e02c18e0b3baae4403745d751ea960507760c29851f17cdde72f10a232ec0",
+                          "10f9977ba600451186204a1c19b76a25f3b2d68500b53460b53abf50883292c4"),
 }
 
 
@@ -262,7 +278,8 @@ ENGINE_PINS = {
 def test_engine_bytes_pinned(p0, dc0, case, record_paths):
     kw, ids, below_border, with_paths, without_paths = ENGINE_PINS[case]
     x0 = 0.5 * border_point(p0) if below_border else dc0.x_star
-    res = simulate_batch(p0, x0, StochConfig(dt=1e-3, **kw), ids, record_paths=record_paths)
+    cfg = StochConfig(**{"dt": 1e-3, **kw})
+    res = simulate_batch(p0, x0, cfg, ids, record_paths=record_paths)
     assert "ys" not in vars(res)  # the modes are derived from the schedules when read
     assert _batch_digest(res) == (with_paths if record_paths else without_paths)
     if case.startswith("slow"):
@@ -271,6 +288,14 @@ def test_engine_bytes_pinned(p0, dc0, case, record_paths):
                    for s in res.schedules if len(s.taus))
     if case == "partial-final-on":
         assert all(s.partial_final_on for s in res.schedules)
+    spu = cfg.steps_per_unit()
+    if case == "short-period":
+        assert spu < BLOCK_STEPS_MAX
+    if case == "budget-shortened":
+        assert BLOCK_ELEMENTS // len(ids) < BLOCK_STEPS_MAX
+    if case.startswith("crowded"):
+        # Some passage lies strictly inside the last step of a period.
+        assert any(np.any(s.taus % 1.0 > 1.0 - 1.0 / spu + 1e-9) for s in res.schedules)
 
 
 def test_batch_memory_is_one_normal_array(p0, dc0):
@@ -289,10 +314,27 @@ def test_batch_memory_is_one_normal_array(p0, dc0):
 
 def test_bridge_test_emits_no_float_warnings(p0, dc0):
     # At an endpoint crossing the bridge exponent is positive, of order
-    # (drift step)^2 / (eps^2 dt): about 1e4 here.  It is clamped at 0, so
-    # exp never overflows.
-    cfg = StochConfig(epsilon=1e-4, dt=1e-3, horizon=3, seed=9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        res = simulate_batch(p0, dc0.x_star, cfg, range(32), record_paths=True)
-    assert all(len(s.taus) for s in res.schedules)
+    # (drift step)^2 / (eps^2 dt): about 1e4 at eps 1e-4.  It is clamped at
+    # 0, so exp never overflows.  At eps 1e-160, eps^2 dt is subnormal and
+    # the exponent's constant is -inf; at eps 0.3 many replicas cross early
+    # in a block and the steps after their passages run to its end.
+    for eps in (1e-4, 1e-160, 0.3):
+        cfg = StochConfig(epsilon=eps, dt=1e-3, horizon=3, seed=9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = simulate_batch(p0, dc0.x_star, cfg, range(32), record_paths=True)
+        assert all(len(s.taus) for s in res.schedules)
+
+
+@pytest.mark.parametrize("eps, dt", [(0.05, 1e-3), (0.3, 0.1), (1e-6, 1 / 7), (0.0, 1e-2)])
+def test_first_on_step_is_ou_step(p0, dc0, eps, dt):
+    # The engine's first ON step of replica k is the scalar exact OU step
+    # with the first normal of replica k's stream, bit for bit.
+    cfg = StochConfig(epsilon=eps, dt=dt, horizon=1, seed=13, stream=2)
+    h = 1.0 / cfg.steps_per_unit()
+    ids = [4, 0, 9]
+    res = simulate_batch(p0, dc0.x_star, cfg, ids, record_paths=True)
+    for b, k in enumerate(ids):
+        g = replica_generator(cfg.seed, k, cfg.stream).standard_normal()
+        assert not np.any(res.schedules[b].taus < h)  # no passage in the first step
+        assert res.xs[b, 1] == ou_step(p0, dc0.x_star, h, eps, g)
