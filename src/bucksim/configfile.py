@@ -130,12 +130,17 @@ _COMMON = (
     Setting("x_ref", "x_ref", "--x-ref", float, required=True),
 )
 
-_SDE = (
-    Setting("epsilon", "sde.epsilon", "--epsilon", float, required=True),
-    Setting("dt", "sde.dt", "--dt", float, 1e-3),
-    Setting("horizon", "sde.horizon", "--horizon", _int, 10),
-    Setting("bridge_correction", "sde.bridge_correction", "--bridge", parse_bool, True),
-)
+
+def _sde(min_horizon: int) -> tuple[Setting, ...]:
+    """The stochastic run's settings; a path distance needs a horizon of at least 1."""
+    return (
+        Setting("epsilon", "sde.epsilon", "--epsilon", float, required=True),
+        Setting("dt", "sde.dt", "--dt", float, 1e-3),
+        Setting("horizon", "sde.horizon", "--horizon", _int, 10,
+                check=_at_least(min_horizon)),
+        Setting("bridge_correction", "sde.bridge_correction", "--bridge", parse_bool, True),
+    )
+
 
 COMMAND_SETTINGS: dict[str, tuple[Setting, ...]] = {
     "validate": _COMMON,
@@ -150,11 +155,11 @@ COMMAND_SETTINGS: dict[str, tuple[Setting, ...]] = {
         Setting("sample_step", "det.sample_step", "--sample-step", float, 1e-3,
                 check=_finite_positive),
     ),
-    "simulate-sde": _COMMON + _SDE + (
+    "simulate-sde": _COMMON + _sde(0) + (
         Setting("replicas", "sde.replicas", "--replicas", _int, 1, check=_at_least(1)),
         Setting("emit_paths", None, "--emit-paths", parse_bool, False),
     ),
-    "distance": _COMMON + _SDE + (
+    "distance": _COMMON + _sde(1) + (
         Setting("replica", None, "--replica", _int, 0, check=_at_least(0)),
         Setting("grid_step", "sde.grid_step", "--grid-step", float, 1e-3,
                 check=_finite_positive),

@@ -94,7 +94,9 @@ class DetPath:
     seg_anchor_t: np.ndarray
     seg_anchor_x: np.ndarray
     end_state: tuple[float, int]
-    # Distance-grid evaluations, keyed by grid step (see skorokhod_upper_bound).
+    # Per grid step: the path on the uniform distance grid and at its own
+    # jump times, shared by every distance bound against it (see
+    # skorokhod._on_uniform_grid).
     grid_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property

@@ -16,6 +16,13 @@ continuous part of the state mismatch is resolved on a grid, so a bound
 can fall short of the candidate's true value; at grid step 1e-3 the
 shortfall is at most about 4-5 % of the bound on the reference sweeps.
 
+A bound evaluates the second path at the deformed grid and at the jump
+points, and the first path only at the preimages of the second path's
+jumps: its values on the grid and at its own jumps are memoised on a
+DetPath, the first path of every bound in a sweep.  The state metric is
+|dx| where the modes agree and hypot(|dx|, 1) where they differ, which is
+np.hypot(dx, dy) bit for bit (up to the sign bit of a NaN).
+
 For piecewise-linear lam the distortion equals max |log slope| over linear
 pieces: any chord slope is a convex combination (weighted by time
 fractions) of the piece slopes it spans, hence lies between the extreme
@@ -164,15 +171,33 @@ def distance_grid_nodes(horizon: float, grid_step: float) -> int:
     return max(1, int(math.ceil(span))) + 1
 
 
-def _on_uniform_grid(z, grid_step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(grid, x, y) of path z on the uniform distance grid; memoised on a DetPath."""
+def _on_uniform_grid(z, grid_step: float) -> tuple[np.ndarray, ...]:
+    """z on the uniform distance grid and at its own jump times in [0, T].
+
+    Returns (grid, x, y, jump times, x, y); memoised on a DetPath, the z1
+    of every bound in a sweep.
+    """
     memo = z.grid_memo if isinstance(z, DetPath) else {}
     if grid_step not in memo:
         grid = np.linspace(0.0, z.horizon, distance_grid_nodes(z.horizon, grid_step))
-        memo[grid_step] = (grid, *z.eval(grid))
+        jumps = np.asarray(z.jump_times, dtype=float)
+        jumps = jumps[(jumps >= 0.0) & (jumps <= z.horizon)]
+        memo[grid_step] = (grid, *z.eval(grid), jumps, *z.eval(jumps))
         for a in memo[grid_step]:
             a.setflags(write=False)  # shared by every later call
     return memo[grid_step]
+
+
+def _state_gaps(x1, y1, x2, y2) -> np.ndarray:
+    """r(z1, z2) pointwise; bit for bit np.hypot(x1 - x2, y1 - y2) for modes in {0, 1}.
+
+    Where the modes agree that is |x1 - x2|, since hypot(x, +-0) is fabs(x)
+    (C99 Annex F); where they differ it is hypot(|x1 - x2|, 1), since hypot
+    is even in each argument.  A NaN gap stays NaN but loses its sign bit.
+    """
+    r = np.subtract(x1, x2)
+    np.abs(r, out=r)
+    return np.hypot(r, 1.0, out=r, where=y1 != y2)
 
 
 def skorokhod_upper_bound(z1, z2, lam: TimeDeformation, grid_step: float = 1e-3,
@@ -182,19 +207,24 @@ def skorokhod_upper_bound(z1, z2, lam: TimeDeformation, grid_step: float = 1e-3,
     Evaluation points: a uniform grid of the given step over [0, T], all
     jump times of z1, and the lam-preimages of all jump times of z2; the
     0-or-1 mode mismatch is therefore captured exactly.  z2 is evaluated
-    once, at all of them.
+    twice, at the grid and at the jump points; z1 only at the preimages,
+    the rest is memoised on a DetPath.
     """
     T = z1.horizon
     if abs(z2.horizon - T) > 1e-9 or abs(lam.horizon - T) > 1e-9:
         raise DomainError("skorokhod_upper_bound: horizons must match")
-    grid, gx1, gy1 = _on_uniform_grid(z1, grid_step)
-    jumps = np.concatenate([np.asarray(z1.jump_times, dtype=float),
-                            lam.inverse()(np.asarray(z2.jump_times, dtype=float))])
-    jumps = jumps[(jumps >= 0.0) & (jumps <= T)]
-    jx1, jy1 = z1.eval(jumps)
-    x1, y1 = np.concatenate([gx1, jx1]), np.concatenate([gy1, jy1])
-    x2, y2 = z2.eval(np.clip(lam(np.concatenate([grid, jumps])), 0.0, T))
-    sup_r = float(np.hypot(x1 - x2, y1.astype(float) - y2.astype(float)).max())
+    grid, gx1, gy1, j1, jx1, jy1 = _on_uniform_grid(z1, grid_step)
+    # lam.inverse() at z2's jumps, without building the inverse.
+    j2 = np.interp(np.asarray(z2.jump_times, dtype=float), lam.knots_v, lam.knots_t)
+    j2 = j2[(j2 >= 0.0) & (j2 <= T)]
+    px1, py1 = z1.eval(j2)
+    jumps = np.concatenate([j1, j2])
+    # A two-knot deformation is the identity: the grid is its own image.
+    q = grid if len(lam.knots_t) == 2 else np.clip(lam(grid), 0.0, T)
+    on_grid = _state_gaps(gx1, gy1, *z2.eval(q)).max()
+    at_jumps = _state_gaps(np.concatenate([jx1, px1]), np.concatenate([jy1, py1]),
+                           *z2.eval(np.clip(lam(jumps), 0.0, T))).max(initial=0.0)
+    sup_r = float(np.maximum(on_grid, at_jumps))  # a NaN gap propagates
     gamma = lam.distortion()
     return DistanceBound(gamma=gamma, sup_r=sup_r, bound=max(gamma, sup_r), method=method)
 

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .deterministic import MODE_OFF, MODE_ON
+from .deterministic import MODE_ON
 from .errors import ConfigError, DomainError, check_grid_size
 from .params import ConverterParams, require_valid
 
@@ -172,13 +172,25 @@ class StochPath:
         times = times[(times > 0.0) & (times < self.horizon)]
         return np.sort(times)
 
+    @cached_property
+    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(t, x) knots of the linear interpolant: the grid plus the passages, at the level."""
+        taus = self.schedule.taus
+        at = np.searchsorted(self.t, taus) + np.arange(len(taus))
+        on_grid = np.ones(len(self.t) + len(taus), dtype=bool)
+        on_grid[at] = False
+        kt, kx = np.empty(len(on_grid)), np.empty(len(on_grid))
+        kt[at], kx[at] = taus, self.level
+        kt[on_grid], kx[on_grid] = self.t, self.x
+        return kt, kx
+
     def eval(self, q) -> tuple[np.ndarray, np.ndarray]:
-        """State (x, y) at time(s) q; linear between grid knots, exact at passages."""
+        """State (x, y) at time(s) q; linear between knots, x exactly the level at passages."""
         qa = np.atleast_1d(np.asarray(q, dtype=float))
         if qa.size and (qa.min() < 0.0 or qa.max() > self.horizon):
             raise DomainError(f"eval: time outside [0, {self.horizon}]")
-        x, y = eval_sampled_path(self.t, self.x, self.schedule.taus,
-                                 self.schedule.sigmas, self.level, qa)
+        x = np.interp(qa, *self._knots)
+        y = schedule_modes(self.schedule.taus, self.schedule.sigmas, qa)
         if np.isscalar(q) or np.asarray(q).ndim == 0:
             return float(x[0]), int(y[0])
         return x, y
@@ -187,31 +199,14 @@ class StochPath:
 def schedule_modes(taus: np.ndarray, sigmas: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Mode (int8) at times q of a replica with this schedule.
 
-    Right-continuous: OFF on each [tau_n, sigma_n), ON elsewhere.
+    Right-continuous: OFF on each [tau_n, sigma_n), ON elsewhere, so the
+    mode is ON after an even number of switches (MODE_ON is 1, MODE_OFF 0).
     """
     bnds = np.empty(2 * len(taus))
     bnds[0::2] = taus
     bnds[1::2] = sigmas
     idx = np.searchsorted(bnds, q, side="right")
-    return np.where(idx % 2 == 0, MODE_ON, MODE_OFF).astype(np.int8)
-
-
-def eval_sampled_path(grid_t: np.ndarray, grid_x: np.ndarray, taus: np.ndarray,
-                      sigmas: np.ndarray, level: float, q: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a grid-sampled hybrid path at query times q.
-
-    x is linear between knots; the knot set is the sample grid augmented
-    with the passage times, where x equals the clamp level exactly.  y is
-    given by the schedule (schedule_modes).
-    """
-    if len(taus):
-        ins = np.searchsorted(grid_t, taus)
-        knot_t = np.insert(grid_t, ins, taus)
-        knot_x = np.insert(grid_x, ins, level)
-    else:
-        knot_t, knot_x = grid_t, grid_x
-    return np.interp(q, knot_t, knot_x), schedule_modes(taus, sigmas, q)
+    return np.equal(np.bitwise_and(idx, 1), 0).view(np.int8)
 
 
 @dataclass

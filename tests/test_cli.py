@@ -284,6 +284,7 @@ BAD_SETTINGS = [
     (["distance", "--grid-step", "nan"], "sde.grid_step"),
     (["mc-sweep", "--grid-step", "0"], "grid_step"),
     (["distance", "--replica", "-1"], "--replica"),
+    (["distance", "--horizon", "0", "--epsilon", "0.05"], "sde.horizon"),
     (["mc-sweep", "--p", "nan"], "p="),
     (["mc-sweep", "--t-cap", "0"], "t_cap"),
     (["mc-sweep", "--set", "mc.t_cap=-3"], "t_cap"),
@@ -312,6 +313,13 @@ def test_bad_setting_is_config_error(small_cfg, tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error:") and named in err
+
+
+def test_horizon_zero_runs_for_simulate_sde(small_cfg, tmp_path):
+    # An empty run of the engine is valid; only the distance needs a
+    # deformation of [0, T] with T >= 1 (its bad setting is in BAD_SETTINGS).
+    assert main(["simulate-sde", "--config", small_cfg, "--horizon", "0", "--epsilon", "0.05",
+                 "--out", str(tmp_path / "sde"), "--quiet"]) == 0
 
 
 BAD_TOKENS = ("", "abc", "nan", "inf", "-1", "0", "1e400", "0.1,abc", "1.5", "5e-324",

@@ -215,7 +215,7 @@ def test_pool_sized_to_batches(p0, dc0, monkeypatch):
 def test_good_event_constructive_pieces(p0, dc0):
     # On good replicas with delta <= t_min / (4 T): the aligning deformation
     # obeys the distortion cap and matches the mode components everywhere.
-    from bucksim import (StochConfig, align_schedules, simulate_batch,
+    from bucksim import (StochConfig, StochPath, align_schedules, simulate_batch,
                          simulate_det)
     T = 10
     eps = 0.003
@@ -236,10 +236,8 @@ def test_good_event_constructive_pieces(p0, dc0):
         lam = align_schedules(det.schedule, sched, float(T))
         assert lam is not None
         assert lam.distortion() <= cap
-        from bucksim.stochastic import eval_sampled_path
-        _, y_st = eval_sampled_path(res.grid_t, res.xs[b], sched.taus,
-                                    sched.sigmas, p0.x_ref,
-                                    np.clip(lam(grid), 0.0, float(T)))
+        z2 = StochPath(t=res.grid_t, x=res.xs[b], schedule=sched, level=p0.x_ref)
+        _, y_st = z2.eval(np.clip(lam(grid), 0.0, float(T)))
         assert np.array_equal(y_det, y_st)
     assert good >= 45  # nearly all replicas are good at this noise level
 

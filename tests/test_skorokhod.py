@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from bucksim import (DomainError, StochConfig, TimeDeformation, WarpedPath,
-                     align_schedules, hybrid_distance, simulate_det,
+from bucksim import (DomainError, StochConfig, StochPath, TimeDeformation, WarpedPath,
+                     align_schedules, hybrid_distance, simulate_batch, simulate_det,
                      simulate_stoch, skorokhod_bruteforce, skorokhod_uniform,
                      skorokhod_upper_bound)
 from bucksim.deterministic import DetSchedule
@@ -234,3 +235,113 @@ def test_bruteforce_mismatched_jump_counts_falls_back(p0, dc0):
     bnd = skorokhod_bruteforce(z1, z2)
     assert bnd.method == "identity"
     assert bnd.bound >= 1.0
+
+
+def _bound_digest(bounds) -> str:
+    """sha256 of (gamma, sup_r, bound) of every bound, in order."""
+    h = hashlib.sha256()
+    for b in bounds:
+        h.update(np.array([b.gamma, b.sup_r, b.bound]).tobytes())
+    return h.hexdigest()
+
+
+# z1 and z2 per case: "det" bounds the orbit against each replica under the
+# identity and, where it exists, the aligning deformation; "stoch" bounds
+# replica b against replica b + 1 (a StochPath as z1, so no grid memo) and
+# "warped" the orbit against a warped view of each replica, both under the
+# identity and a fixed three-knot deformation.  The digests were recorded
+# with the bound that evaluated both paths at one concatenated array of
+# grid and jump points.
+BOUND_PINS = {
+    "det-dt": ("det", dict(epsilon=0.05, horizon=5, seed=7), 16, 1e-3,
+               "917b63e7018fe488fdfa627aabc357ba83c384279823f3e3911ce42f9e89b639"),
+    "det-7e-3": ("det", dict(epsilon=0.05, horizon=5, seed=7), 16, 7e-3,
+                 "a21e09558665584de20ef05bc040fc380a03a6225073081a9a9f721304b7aa4e"),
+    "det-coarse": ("det", dict(epsilon=0.05, horizon=5, seed=7), 16, 0.7,
+                   "1d6080c6db065ce307245d62d67a3311bceb1ba62a1d567c3dd519e6d29685b5"),
+    "stoch-z1": ("stoch", dict(epsilon=0.05, horizon=3, seed=5), 8, 1e-3,
+                 "87af24670860ee56aa15b5edd44420cfeb4a0558b53ccf5d5b9cf4525d3795df"),
+    "warped-z2": ("warped", dict(epsilon=0.05, horizon=3, seed=5), 8, 7e-3,
+                  "fc8922b9f1c23b0db999d5918171577d479ca43e15ea7fc9d9b9ebcdca6fdc1e"),
+    "slow-passages": ("det", dict(dt=0.1, epsilon=0.3, horizon=6, seed=12), 40, 0.1,
+                      "7d826d509947b9c2e2a8a9b6521c09a45dd84ebc4bc5082fd510c9769b20a011"),
+    "horizon-1": ("det", dict(epsilon=0.05, horizon=1, seed=4), 16, 1e-3,
+                  "fc4c4dcc98e1ae85304e95d0cc0ea05f1af44dd8a16c4f72d18807fb2fb4b7ed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_PINS))
+def test_distance_bounds_pinned(p0, dc0, case):
+    pair, kw, replicas, grid_step, digest = BOUND_PINS[case]
+    cfg = StochConfig(**{"dt": 1e-3, **kw})
+    T = float(cfg.horizon)
+    det = simulate_det(p0, (dc0.x_star, 1), cfg.horizon)
+    res = simulate_batch(p0, dc0.x_star, cfg, range(replicas))
+    paths = [StochPath(t=res.grid_t, x=x, schedule=s, level=p0.x_ref)
+             for x, s in zip(res.xs, res.schedules)]
+    warp = TimeDeformation(np.array([0.0, T / 3, T]), np.array([0.0, T / 2, T]))
+    bounds = []
+    aligned = 0
+    for b, z2 in enumerate(paths):
+        lams = [TimeDeformation.identity(T)]
+        if pair == "det":
+            z1 = det
+            lam = align_schedules(det.schedule, z2.schedule, T)
+            if lam is not None:
+                lams.append(lam)
+                aligned += 1
+        else:
+            lams.append(warp)
+            if pair == "stoch":
+                z1, z2 = z2, paths[(b + 1) % replicas]
+            else:
+                z1, z2 = det, WarpedPath(z2, warp)
+        bounds += [skorokhod_upper_bound(z1, z2, lam, grid_step=grid_step) for lam in lams]
+    assert _bound_digest(bounds) == digest
+    if pair == "det":
+        assert aligned  # the aligning deformation is bounded next to the identity
+    if case == "slow-passages":
+        # The case keeps its point: some ON phase spans a clock pulse.
+        assert any(np.any(s.taus - np.concatenate([[0.0], s.sigmas[:-1]]) >= 1.0)
+                   for s in res.schedules if len(s.taus))
+
+
+def _special_values(rng) -> np.ndarray:
+    tiny = np.finfo(float).smallest_subnormal
+    x = np.concatenate([rng.normal(0.0, 1.0, 200), rng.uniform(-1e-3, 1e-3, 50),
+                        [0.0, -0.0, tiny, 3 * tiny, np.finfo(float).tiny / 2, 1e308,
+                         np.finfo(float).max, np.inf, np.nan]])
+    return np.concatenate([x, -x])
+
+
+def _same_bits(a, b) -> bool:
+    """Bitwise equal, or NaN in both (a NaN's sign bit survives hypot but not fabs)."""
+    same = a.view(np.uint64) == b.view(np.uint64)
+    return bool(np.all(same | (np.isnan(a) & np.isnan(b))))
+
+
+def test_hypot_facts_the_bound_rests_on():
+    # The sup takes |dx| where the modes agree and hypot(|dx|, 1) where they
+    # differ; that is np.hypot(dx, dy) bit for bit for dy in {0, +-1}.
+    from bucksim.skorokhod import _state_gaps
+    rng = np.random.default_rng(21)
+    x = _special_values(rng)
+    ax = np.abs(x)
+    assert _same_bits(np.hypot(x, 0.0), ax)
+    assert _same_bits(np.hypot(-x, 1.0), np.hypot(x, 1.0))
+    assert _same_bits(np.hypot(x, -1.0), np.hypot(ax, 1.0))
+    x2 = rng.permutation(x)
+    y1, y2 = rng.integers(0, 2, (2, x.size)).astype(np.int8)
+    ref = np.hypot(x - x2, y1.astype(float) - y2.astype(float))
+    assert _same_bits(_state_gaps(x, y1, x2, y2), ref)
+
+
+def test_identity_deformation_maps_the_grid_onto_itself():
+    # A two-knot deformation is the identity, so the bound skips lam(grid).
+    from bucksim.skorokhod import distance_grid_nodes
+    for T in range(1, 101):
+        lam = TimeDeformation.identity(float(T))
+        for step in (1e-3, 7e-3, 1 / 7, 0.7, 5.0):
+            grid = np.linspace(0.0, float(T), distance_grid_nodes(float(T), step))
+            image = np.clip(lam(grid), 0.0, float(T))
+            assert np.array_equal(image.view(np.uint64), grid.view(np.uint64))

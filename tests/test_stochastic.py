@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from bucksim import (ConfigError, DomainError, StochConfig, border_point,
+from bucksim import (ConfigError, DomainError, StochConfig, StochPath, border_point,
                      crossing_probability, on_flow, ou_step, replica_generator,
                      simulate_batch, simulate_det, simulate_stoch)
-from bucksim.stochastic import BLOCK_ELEMENTS, BLOCK_STEPS_MAX, ou_step_sd
+from bucksim.deterministic import MODE_OFF, MODE_ON
+from bucksim.stochastic import BLOCK_ELEMENTS, BLOCK_STEPS_MAX, ou_step_sd, schedule_modes
 
 
 def test_ou_step_zero_noise_is_deterministic_flow(p0, dc0):
@@ -338,3 +339,38 @@ def test_first_on_step_is_ou_step(p0, dc0, eps, dt):
         g = replica_generator(cfg.seed, k, cfg.stream).standard_normal()
         assert not np.any(res.schedules[b].taus < h)  # no passage in the first step
         assert res.xs[b, 1] == ou_step(p0, dc0.x_star, h, eps, g)
+
+
+def test_schedule_modes_match_the_where_formula():
+    # The parity form equals np.where(idx % 2 == 0, MODE_ON, MODE_OFF) as int8,
+    # also at queries exactly on a switch time (right-continuous: OFF at tau).
+    rng = np.random.default_rng(23)
+    for k in (0, 1, 2, 5, 40):
+        taus = np.sort(rng.uniform(0.0, 1.0, k)) + np.arange(k)
+        sigmas = np.floor(taus) + 1.0
+        q = np.concatenate([rng.uniform(0.0, k + 1.0, 500), taus, sigmas,
+                            np.nextafter(taus, -np.inf), np.nextafter(sigmas, -np.inf),
+                            [0.0, k + 1.0]])
+        bnds = np.empty(2 * k)
+        bnds[0::2], bnds[1::2] = taus, sigmas
+        idx = np.searchsorted(bnds, q, side="right")
+        old = np.where(idx % 2 == 0, MODE_ON, MODE_OFF).astype(np.int8)
+        new = schedule_modes(taus, sigmas, q)
+        assert new.dtype == np.int8 and np.array_equal(new, old)
+        assert np.all(schedule_modes(taus, sigmas, taus) == MODE_OFF)
+        assert np.all(schedule_modes(taus, sigmas, sigmas) == MODE_ON)
+
+
+@pytest.mark.parametrize("kw", [dict(epsilon=0.05, horizon=3, seed=7),
+                                dict(dt=0.1, epsilon=0.3, horizon=6, seed=12),
+                                dict(epsilon=0.05, horizon=0, seed=7)])
+def test_passage_knots_match_np_insert(p0, dc0, kw):
+    # The interpolation knots of a replica: the grid with each passage inserted
+    # before the first grid time not below it, at the level.
+    cfg = StochConfig(**{"dt": 1e-3, **kw})
+    res = simulate_batch(p0, dc0.x_star, cfg, range(40))
+    for x, s in zip(res.xs, res.schedules):
+        kt, kx = StochPath(t=res.grid_t, x=x, schedule=s, level=p0.x_ref)._knots
+        ins = np.searchsorted(res.grid_t, s.taus)
+        assert np.array_equal(kt, np.insert(res.grid_t, ins, s.taus))
+        assert np.array_equal(kx, np.insert(x, ins, p0.x_ref))
