@@ -25,7 +25,6 @@ report bytes are independent of the worker count and the batch size.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -33,6 +32,7 @@ from functools import partial
 import numpy as np
 from scipy.special import erfc
 
+from . import parallel
 from .deterministic import DetPath, simulate_det
 from .errors import ConfigError, DomainError, batch_ranges, check_grid_size
 from .output import csv_text
@@ -239,12 +239,14 @@ def _replica_tallies(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
         distance_grid_nodes(float(cfg.horizon_for(eps)), cfg.grid_step)
     run = partial(_ensemble_batch, p, dc, cfg, eps, want_distance=want_distance)
     # Bytes depend on neither the batch size nor the worker count, so a batch
-    # over the grid cap is split and the pool never outnumbers the CPUs.
+    # over the grid cap is split and the pool never outnumbers the CPUs; each
+    # worker process splits its array work over its share of them.
     batches = batch_ranges(N, cfg.batch_size, cfg.stoch_config(eps).grid_nodes(),
                            f"one replica's grid at epsilon={eps!r}")
-    workers = min(cfg.workers, len(batches), os.cpu_count() or 1)
+    workers = min(cfg.workers, len(batches), parallel.usable_cpus())
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=parallel.share_cpus,
+                                 initargs=(workers,)) as pool:
             results = list(pool.map(run, batches))
     else:
         results = [run(ids) for ids in batches]

@@ -21,7 +21,9 @@ points, and the first path only at the preimages of the second path's
 jumps: its values on the grid and at its own jumps are memoised on a
 DetPath, the first path of every bound in a sweep.  The state metric is
 |dx| where the modes agree and hypot(|dx|, 1) where they differ, which is
-np.hypot(dx, dy) bit for bit (up to the sign bit of a NaN).
+np.hypot(dx, dy) bit for bit (up to the sign bit of a NaN).  Long grids
+are split into contiguous parts on the process's threads; the maximum is
+exact, so no bound depends on the thread count.
 
 For piecewise-linear lam the distortion equals max |log slope| over linear
 pieces: any chord slope is a convex combination (weighted by time
@@ -38,9 +40,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .deterministic import DetPath, DetSchedule
 from .errors import DomainError, check_grid_size
 from .stochastic import ReplicaSchedule
+
+# The grid part of a bound is split across threads in parts of at least
+# this many points: shorter parts lose more to handing the interpreter lock
+# between threads than they gain.
+SPLIT_POINTS = 2 ** 14
+
 
 def hybrid_distance(z1: tuple[float, float], z2: tuple[float, float]) -> float:
     """Euclidean metric on R x {0,1}: sqrt(|x1-x2|^2 + |y1-y2|^2)."""
@@ -208,7 +217,10 @@ def skorokhod_upper_bound(z1, z2, lam: TimeDeformation, grid_step: float = 1e-3,
     jump times of z1, and the lam-preimages of all jump times of z2; the
     0-or-1 mode mismatch is therefore captured exactly.  z2 is evaluated
     twice, at the grid and at the jump points; z1 only at the preimages,
-    the rest is memoised on a DetPath.
+    the rest is memoised on a DetPath.  The grid part runs in parts of at
+    least SPLIT_POINTS points on the process's threads, so z2.eval must be
+    safe to call from several threads at once; the parts' maxima are
+    combined with np.maximum, which keeps a NaN from any part.
     """
     T = z1.horizon
     if abs(z2.horizon - T) > 1e-9 or abs(lam.horizon - T) > 1e-9:
@@ -219,9 +231,14 @@ def skorokhod_upper_bound(z1, z2, lam: TimeDeformation, grid_step: float = 1e-3,
     j2 = j2[(j2 >= 0.0) & (j2 <= T)]
     px1, py1 = z1.eval(j2)
     jumps = np.concatenate([j1, j2])
-    # A two-knot deformation is the identity: the grid is its own image.
-    q = grid if len(lam.knots_t) == 2 else np.clip(lam(grid), 0.0, T)
-    on_grid = _state_gaps(gx1, gy1, *z2.eval(q)).max()
+    identity = len(lam.knots_t) == 2
+
+    def grid_sup(lo: int, hi: int):
+        # A two-knot deformation is the identity: the grid is its own image.
+        q = grid[lo:hi] if identity else np.clip(lam(grid[lo:hi]), 0.0, T)
+        return _state_gaps(gx1[lo:hi], gy1[lo:hi], *z2.eval(q)).max()
+
+    on_grid = np.maximum.reduce(parallel.split(grid_sup, len(grid), SPLIT_POINTS))
     at_jumps = _state_gaps(np.concatenate([jx1, px1]), np.concatenate([jy1, py1]),
                            *z2.eval(np.clip(lam(jumps), 0.0, T))).max(initial=0.0)
     sup_r = float(np.maximum(on_grid, at_jumps))  # a NaN gap propagates

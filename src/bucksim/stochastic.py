@@ -24,7 +24,9 @@ element i of its stream (normals first, then uniforms when the bridge test
 is enabled), which makes paths bit-reproducible.  All normals are drawn up
 front and scaled to the step's sd one block at a time; the uniforms are
 drawn one period at a time, which yields the same values as one draw of
-the whole horizon.
+the whole horizon.  Both fills are split by replica rows across the
+process's threads (parallel.split); each stream is still drawn by one
+thread, in order, so no value depends on the thread count.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import parallel
 from .deterministic import MODE_ON
 from .errors import ConfigError, DomainError, check_grid_size
 from .params import ConverterParams, require_valid
@@ -201,12 +204,23 @@ def schedule_modes(taus: np.ndarray, sigmas: np.ndarray, q: np.ndarray) -> np.nd
 
     Right-continuous: OFF on each [tau_n, sigma_n), ON elsewhere, so the
     mode is ON after an even number of switches (MODE_ON is 1, MODE_OFF 0).
+    Sorted queries, such as a grid, are filled run by run between the
+    switch times; other queries each count the switch times at or below.
     """
     bnds = np.empty(2 * len(taus))
     bnds[0::2] = taus
     bnds[1::2] = sigmas
-    idx = np.searchsorted(bnds, q, side="right")
-    return np.equal(np.bitwise_and(idx, 1), 0).view(np.int8)
+    if q.ndim == 1 and np.all(q[1:] >= q[:-1]):
+        # Run j, from the first query at or above switch time j - 1 to the
+        # last one below switch time j, follows j switches.
+        runs = np.diff(np.searchsorted(q, bnds), prepend=0, append=q.size)
+        return np.repeat(_parity_modes(np.arange(bnds.size + 1)), runs)
+    return _parity_modes(np.searchsorted(bnds, q, side="right"))
+
+
+def _parity_modes(switches: np.ndarray) -> np.ndarray:
+    """MODE_ON after an even number of switches, MODE_OFF after an odd one (int8)."""
+    return np.equal(np.bitwise_and(switches, 1), 0).view(np.int8)
 
 
 @dataclass
@@ -242,7 +256,8 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     period ends once none is left.  OFF->ON restarts are applied at node
     k + 1 from the closed-form OFF decay; the OFF stretches of recorded
     paths, values stepped after a passage included, are filled in closed
-    form after the loop.
+    form after the loop.  Only the normal and uniform fills run on several
+    threads, by replica rows; everything else runs on the calling thread.
     """
     require_valid(p)
     cfg.validate()
@@ -275,8 +290,17 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     if eps > 0.0:
         draws = np.empty((B, n + spu * bridge))
         normals, uniforms = draws[:, :n], draws[:, n:]
-        for j, g in enumerate(gens):
-            g.standard_normal(out=normals[j])
+
+        def fill_normals(lo: int, hi: int) -> None:
+            for j in range(lo, hi):
+                gens[j].standard_normal(out=normals[j])
+
+        def fill_uniforms(lo: int, hi: int) -> None:
+            for j in range(lo, hi):
+                gens[j].random(out=uniforms[j])
+
+        # Each generator is filled by one thread, in stream order.
+        parallel.split(fill_normals, B)
 
     x = np.full(B, float(x0))   # state at the current node of every ON replica
     on = np.ones(B, dtype=bool)
@@ -294,8 +318,7 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     for k in range(horizon):
         base = k * spu
         if bridge:
-            for j, g in enumerate(gens):
-                g.random(out=uniforms[j])
+            parallel.split(fill_uniforms, B)
         act = np.flatnonzero(on)
         xa = x[act]
         i0 = base

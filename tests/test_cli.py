@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bucksim import (ConverterParams, McConfig, StochConfig, derive_constants,
                      simulate_batch, simulate_stoch)
-from bucksim import errors
+from bucksim import errors, parallel, skorokhod
 from bucksim.cli import main
 from bucksim.configfile import COMMAND_SETTINGS, parse_bool
 from bucksim.output import atomic_write_text, csv_text, format_value
@@ -179,6 +179,18 @@ def _sha256(path) -> str:
 def test_artifact_bytes_pinned(cfg_file, tmp_path):
     # A refactor must leave every byte of these artifacts as it is; a change
     # that moves a byte on purpose re-pins the digests.
+    _check_artifact_pins(cfg_file, tmp_path)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_artifact_bytes_under_any_thread_count(cfg_file, tmp_path, monkeypatch, threads):
+    # Draws and bound grids split across threads, small grids included.
+    monkeypatch.setattr(parallel, "thread_count", lambda: threads)
+    monkeypatch.setattr(skorokhod, "SPLIT_POINTS", 2)
+    _check_artifact_pins(cfg_file, tmp_path)
+
+
+def _check_artifact_pins(cfg_file, tmp_path):
     args = ["mc-sweep", "--config", cfg_file, "--epsilons", "0.1,0.0",
             "--frak-t", "2", "--replicas", "120", "--dt", "0.01", "--quiet"]
     for batch_size in (7, 300):

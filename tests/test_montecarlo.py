@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.stats import norm
 
 from bucksim import (ConfigError, DomainError, McConfig, bad_event_probs,
                      distance_moment, gaussian_tail, gaussian_tail_bound,
-                     montecarlo, sweep, wilson_interval)
+                     montecarlo, parallel, sweep, wilson_interval)
 from bucksim.errors import MAX_GRID_POINTS
 from bucksim.montecarlo import CSV_COLUMNS
 
@@ -182,11 +183,14 @@ def test_sweep_deterministic_and_worker_independent(p0, dc0):
 
 def test_pool_sized_to_batches(p0, dc0, monkeypatch):
     # Serial stand-in for the process pool: records its size, starts no
-    # process.  The pool is capped by the batches and by the CPU count.
+    # process.  The pool is capped by the batches and by the CPUs this
+    # process may use (its affinity mask, else the CPU count); each worker
+    # process takes its share of the CPUs for its threads.
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
+            assert initializer is parallel.share_cpus and initargs == (max_workers,)
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -199,7 +203,12 @@ def test_pool_sized_to_batches(p0, dc0, monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the affinity mask wins
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(parallel, "_processes", 2)
+    assert parallel.thread_count() == 4
+    monkeypatch.setattr(parallel, "_processes", 1)
+    monkeypatch.setattr(parallel, "thread_count", lambda: 1)  # this test starts no thread
     bad_event_probs(p0, dc0, _small_cfg(replicas=20, batch_size=10, workers=64), 0.1)
     assert sizes == [2]
     many_batches = _small_cfg(replicas=40, batch_size=1, workers=100000)
@@ -207,7 +216,11 @@ def test_pool_sized_to_batches(p0, dc0, monkeypatch):
     assert sizes == [2, 8]
     for cpus in (1, None):
         # One usable CPU, or an unknown count: the batches run in this process.
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         bad_event_probs(p0, dc0, many_batches, 0.1)
     assert sizes == [2, 8]
 

@@ -8,6 +8,7 @@ from bucksim import (DomainError, StochConfig, StochPath, TimeDeformation, Warpe
                      align_schedules, hybrid_distance, simulate_batch, simulate_det,
                      simulate_stoch, skorokhod_bruteforce, skorokhod_uniform,
                      skorokhod_upper_bound)
+from bucksim import parallel, skorokhod
 from bucksim.deterministic import DetSchedule
 from bucksim.stochastic import ReplicaSchedule
 
@@ -272,6 +273,44 @@ BOUND_PINS = {
 
 @pytest.mark.parametrize("case", sorted(BOUND_PINS))
 def test_distance_bounds_pinned(p0, dc0, case):
+    _check_bound_pin(p0, dc0, case)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_bound_bytes_under_any_thread_count(p0, dc0, monkeypatch, threads):
+    # The grid part of a bound is split into parts on several threads; with
+    # parts of two points every grid splits.
+    monkeypatch.setattr(parallel, "thread_count", lambda: threads)
+    monkeypatch.setattr(skorokhod, "SPLIT_POINTS", 2)
+    for case in BOUND_PINS:
+        _check_bound_pin(p0, dc0, case)
+
+
+def test_nan_gap_in_any_part_gives_nan_sup(monkeypatch):
+    # The parts' maxima are combined with np.maximum, which keeps a NaN
+    # wherever it lies; Python's max would drop one after the first part.
+    monkeypatch.setattr(parallel, "thread_count", lambda: 3)
+    monkeypatch.setattr(skorokhod, "SPLIT_POINTS", 2)
+
+    class _NanAt(_ConstPath):
+        def __init__(self, value, at):
+            super().__init__(value)
+            self.at = at
+
+        def eval(self, q):
+            x, y = super().eval(q)
+            x[np.asarray(q) == self.at] = np.nan
+            return x, y
+
+    grid = np.linspace(0.0, 1.0, 101)
+    for at in grid[[0, 40, 100]]:  # in the first, second and third part
+        bnd = skorokhod_uniform(_ConstPath(0.2), _NanAt(0.25, at), grid_step=0.01)
+        assert math.isnan(bnd.sup_r)
+    assert skorokhod_uniform(_ConstPath(0.2), _ConstPath(0.25), grid_step=0.01).sup_r == (
+        pytest.approx(0.05))
+
+
+def _check_bound_pin(p0, dc0, case):
     pair, kw, replicas, grid_step, digest = BOUND_PINS[case]
     cfg = StochConfig(**{"dt": 1e-3, **kw})
     T = float(cfg.horizon)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bucksim import (ConfigError, DomainError, StochConfig, StochPath, border_point,
-                     crossing_probability, on_flow, ou_step, replica_generator,
+                     crossing_probability, on_flow, ou_step, parallel, replica_generator,
                      simulate_batch, simulate_det, simulate_stoch)
 from bucksim.deterministic import MODE_OFF, MODE_ON
 from bucksim.stochastic import BLOCK_ELEMENTS, BLOCK_STEPS_MAX, ou_step_sd, schedule_modes
@@ -299,6 +299,19 @@ def test_engine_bytes_pinned(p0, dc0, case, record_paths):
         assert any(np.any(s.taus % 1.0 > 1.0 - 1.0 / spu + 1e-9) for s in res.schedules)
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_engine_bytes_under_any_thread_count(p0, dc0, monkeypatch, threads):
+    # The draws of a batch are filled by row ranges on several threads; each
+    # replica's stream is still drawn by one thread, in order.
+    monkeypatch.setattr(parallel, "thread_count", lambda: threads)
+    for case, (kw, ids, below_border, with_paths, without_paths) in ENGINE_PINS.items():
+        x0 = 0.5 * border_point(p0) if below_border else dc0.x_star
+        cfg = StochConfig(**{"dt": 1e-3, **kw})
+        for record_paths, digest in ((True, with_paths), (False, without_paths)):
+            res = simulate_batch(p0, x0, cfg, ids, record_paths=record_paths)
+            assert _batch_digest(res) == digest, (case, record_paths)
+
+
 def test_batch_memory_is_one_normal_array(p0, dc0):
     # Without paths a batch holds its pre-drawn normals (B n doubles) and one
     # period of bridge uniforms, not the uniforms of the whole horizon.
@@ -343,20 +356,23 @@ def test_first_on_step_is_ou_step(p0, dc0, eps, dt):
 
 def test_schedule_modes_match_the_where_formula():
     # The parity form equals np.where(idx % 2 == 0, MODE_ON, MODE_OFF) as int8,
-    # also at queries exactly on a switch time (right-continuous: OFF at tau).
+    # also at queries exactly on a switch time (right-continuous: OFF at tau),
+    # for unsorted queries (counted one by one) and sorted ones (run fill).
     rng = np.random.default_rng(23)
     for k in (0, 1, 2, 5, 40):
         taus = np.sort(rng.uniform(0.0, 1.0, k)) + np.arange(k)
         sigmas = np.floor(taus) + 1.0
         q = np.concatenate([rng.uniform(0.0, k + 1.0, 500), taus, sigmas,
                             np.nextafter(taus, -np.inf), np.nextafter(sigmas, -np.inf),
+                            np.nextafter(taus, np.inf), np.nextafter(sigmas, np.inf),
                             [0.0, k + 1.0]])
         bnds = np.empty(2 * k)
         bnds[0::2], bnds[1::2] = taus, sigmas
-        idx = np.searchsorted(bnds, q, side="right")
-        old = np.where(idx % 2 == 0, MODE_ON, MODE_OFF).astype(np.int8)
-        new = schedule_modes(taus, sigmas, q)
-        assert new.dtype == np.int8 and np.array_equal(new, old)
+        for qs in (q, np.sort(q), np.linspace(0.0, k + 1.0, 7 * k + 2)):
+            idx = np.searchsorted(bnds, qs, side="right")
+            old = np.where(idx % 2 == 0, MODE_ON, MODE_OFF).astype(np.int8)
+            new = schedule_modes(taus, sigmas, qs)
+            assert new.dtype == np.int8 and np.array_equal(new, old)
         assert np.all(schedule_modes(taus, sigmas, taus) == MODE_OFF)
         assert np.all(schedule_modes(taus, sigmas, sigmas) == MODE_ON)
 
