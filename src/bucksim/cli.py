@@ -159,7 +159,7 @@ def _cmd_distance(s: SimpleNamespace) -> int:
     det = simulate_det(p, (dc.x_star, 1), cfg.horizon)
     stoch = simulate_stoch(p, (dc.x_star, 1), cfg, replica=s.replica)
     lam, method = deformation_for(det, stoch.schedule, float(cfg.horizon), try_align=True)
-    bnd = skorokhod_upper_bound(det, stoch, lam, grid_step=s.grid_step, method=method)
+    bnd = skorokhod_upper_bound(det, stoch, lam, method=method)
     out = _out_dir(s, required=True)
     atomic_write_text(out / "distance.csv",
                       csv_text(("gamma", "sup_r", "bound", "method"),

@@ -161,8 +161,6 @@ COMMAND_SETTINGS: dict[str, tuple[Setting, ...]] = {
     ),
     "distance": _COMMON + _sde(1) + (
         Setting("replica", None, "--replica", _int, 0, check=_at_least(0)),
-        Setting("grid_step", "sde.grid_step", "--grid-step", float, 1e-3,
-                check=_finite_positive),
     ),
     # McConfig.validate checks every mc.* value.
     "mc-sweep": _COMMON + (
@@ -176,8 +174,6 @@ COMMAND_SETTINGS: dict[str, tuple[Setting, ...]] = {
         Setting("dt", "mc.dt", "--dt", float, 1e-3),
         Setting("workers", "mc.workers", "--workers", _int, 1),
         Setting("batch_size", "mc.batch_size", "--batch-size", _int, 512),
-        Setting("grid_step", "mc.grid_step", "--grid-step", float, 1e-3),
-        Setting("t_cap", "mc.t_cap", "--t-cap", _int),
         Setting("bridge_correction", "mc.bridge_correction", "--bridge", parse_bool, True),
     ),
 }

@@ -77,7 +77,10 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sweep configuration; epsilons are processed in the given order."""
+    """Sweep configuration; epsilons are processed in the given order.
+
+    Only the listed levels have streams.  Distance bounds use skorokhod.GRID_STEP.
+    """
 
     epsilons: tuple[float, ...]
     nu: float = 0.0
@@ -90,8 +93,6 @@ class McConfig:
     bridge_correction: bool = True
     workers: int = 1
     batch_size: int = 512
-    grid_step: float = 1e-3
-    t_cap: int | None = None
 
     def validate(self) -> None:
         if not self.epsilons:
@@ -110,7 +111,7 @@ class McConfig:
         if not (isinstance(self.frak_t, (int, np.integer)) and self.frak_t >= 1):
             raise ConfigError(f"frak_t={self.frak_t!r} must be an integer >= 1")
         # Checked before horizon_for converts it to a float.  A larger frak_t
-        # is over the cap anyway at eps <= 1 without t_cap (T_eps >= frak_t).
+        # is over the cap anyway at eps <= 1 (T_eps >= frak_t).
         check_grid_size(self.frak_t, "frak_t")
         if not (math.isfinite(self.p) and self.p >= 1.0):
             raise ConfigError(f"p={self.p!r} must be finite and >= 1")
@@ -120,28 +121,22 @@ class McConfig:
             raise ConfigError(f"workers={self.workers!r} must be >= 1")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size={self.batch_size!r} must be >= 1")
-        if not (math.isfinite(self.grid_step) and self.grid_step > 0.0):
-            raise ConfigError(f"grid_step={self.grid_step!r} must be finite and > 0")
-        if self.t_cap is not None and not (isinstance(self.t_cap, (int, np.integer))
-                                           and self.t_cap >= 1):
-            raise ConfigError(f"t_cap={self.t_cap!r} must be None or an integer >= 1")
-        # Delegate the dt and seed checks.
-        self.stoch_config(0.0).validate()
-        # Fail before any work when one replica's grid at some eps exceeds the
-        # cap (larger batches are split in _replica_tallies).  eps = 0 simulates
-        # nothing, but its per-cycle table still has T_eps entries.
+        # Delegate the dt and seed checks, and fail before any work when one
+        # replica's grid at some eps exceeds the cap (larger batches are split
+        # in _replica_tallies).  eps = 0 simulates nothing, but its per-cycle
+        # table still has T_eps entries.
         for e in self.epsilons:
-            points = self.stoch_config(e).grid_nodes() if e > 0.0 else self.horizon_for(e) + 1
+            scfg = self.stoch_config(e)
+            scfg.validate()
+            points = scfg.grid_nodes() if e > 0.0 else scfg.horizon + 1
             check_grid_size(points, f"one replica's grid at epsilon={e!r}")
 
     def horizon_for(self, eps: float) -> int:
-        """T_eps = floor(frak_t / eps^nu), at least 1, optionally capped."""
+        """T_eps = floor(frak_t / eps^nu), at least 1."""
         if eps == 0.0 or self.nu == 0.0:
             t = self.frak_t
         else:
             t = int(math.floor(self.frak_t / eps ** self.nu))
-        if self.t_cap is not None:
-            t = min(t, self.t_cap)
         return max(1, t)
 
     def delta_for(self, eps: float) -> float:
@@ -154,11 +149,10 @@ class McConfig:
                            stream=self.stream_for(eps))
 
     def stream_for(self, eps: float) -> int:
-        """Sub-ensemble index: position of eps in the configured grid."""
-        for i, e in enumerate(self.epsilons):
-            if e == eps:
-                return i
-        return len(self.epsilons)
+        """Sub-ensemble index: position of eps in the grid; no other level has a stream."""
+        if eps not in self.epsilons:
+            raise ConfigError(f"epsilon={eps!r} is not in epsilons={self.epsilons!r}")
+        return self.epsilons.index(eps)
 
 
 def _first_bad_cycle(det_t: np.ndarray, taus: np.ndarray, delta: float,
@@ -220,8 +214,7 @@ def _ensemble_batch(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
         if want_distance:
             z2 = StochPath(t=res.grid_t, x=res.xs[b], schedule=sched, level=p.x_ref)
             lam, _ = deformation_for(det, sched, float(t_eps), first_bad[b] == 0)
-            d_bound[b] = skorokhod_upper_bound(det, z2, lam,
-                                               grid_step=cfg.grid_step).bound
+            d_bound[b] = skorokhod_upper_bound(det, z2, lam).bound
     return first_bad, bad_sign, anomaly, d_bound
 
 
@@ -229,6 +222,7 @@ def _replica_tallies(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
                      eps: float, want_distance: bool) -> tuple[np.ndarray, ...]:
     """(first_bad, bad_sign, anomaly, d_bound) of every replica, in replica order."""
     cfg.validate()
+    scfg = cfg.stoch_config(eps)  # refuses a level outside cfg.epsilons
     N = cfg.replicas
     if eps == 0.0:
         # Deterministic degeneration: no draws, no deviations, zero distance.
@@ -236,12 +230,12 @@ def _replica_tallies(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
                 np.zeros(N))
     if want_distance:
         # Fail before the first batch, not in the first distance bound.
-        distance_grid_nodes(float(cfg.horizon_for(eps)), cfg.grid_step)
+        distance_grid_nodes(float(scfg.horizon))
     run = partial(_ensemble_batch, p, dc, cfg, eps, want_distance=want_distance)
     # Bytes depend on neither the batch size nor the worker count, so a batch
     # over the grid cap is split and the pool never outnumbers the CPUs; each
     # worker process splits its array work over its share of them.
-    batches = batch_ranges(N, cfg.batch_size, cfg.stoch_config(eps).grid_nodes(),
+    batches = batch_ranges(N, cfg.batch_size, scfg.grid_nodes(),
                            f"one replica's grid at epsilon={eps!r}")
     workers = min(cfg.workers, len(batches), parallel.usable_cpus())
     if workers > 1:
@@ -450,7 +444,7 @@ def sweep(p: ConverterParams, dc: DerivedConstants, cfg: McConfig) -> McReport:
     for eps in cfg.epsilons:
         # Every noise level's distance grid, before the first one runs.
         if eps > 0.0:
-            distance_grid_nodes(float(cfg.horizon_for(eps)), cfg.grid_step)
+            distance_grid_nodes(float(cfg.horizon_for(eps)))
     tables, moments = zip(*(_verdicts(p, dc, cfg, eps, want_distance=True)
                             for eps in cfg.epsilons))
     return McReport(config=cfg, tables=list(tables), moments=list(moments))

@@ -12,9 +12,9 @@ exact infimum is not computed here: every reported number is the bound
 of an explicit candidate deformation (identity, or the piecewise-linear
 alignment of switching schedules), plus a brute-force search over small
 candidate families that serves as a reference on small instances.  The
-continuous part of the state mismatch is resolved on a grid, so a bound
-can fall short of the candidate's true value; at grid step 1e-3 the
-shortfall is at most about 4-5 % of the bound on the reference sweeps.
+continuous part of the state mismatch is resolved on a grid (step
+GRID_STEP = 1e-3 by default), so a bound can fall short of the
+candidate's true value, by at most about 4-5 % on the reference sweeps.
 
 A bound evaluates the second path at the deformed grid and at the jump
 points, and the first path only at the preimages of the second path's
@@ -49,6 +49,9 @@ from .stochastic import ReplicaSchedule
 # this many points: shorter parts lose more to handing the interpreter lock
 # between threads than they gain.
 SPLIT_POINTS = 2 ** 14
+
+# Step of the uniform distance grid; the sweep and the CLI always use it.
+GRID_STEP = 1e-3
 
 
 def hybrid_distance(z1: tuple[float, float], z2: tuple[float, float]) -> float:
@@ -173,7 +176,7 @@ class WarpedPath:
         return out
 
 
-def distance_grid_nodes(horizon: float, grid_step: float) -> int:
+def distance_grid_nodes(horizon: float, grid_step: float = GRID_STEP) -> int:
     """Nodes of the uniform distance grid over [0, horizon]; checked against the grid cap."""
     span = horizon / grid_step
     check_grid_size(span + 1, "distance evaluation grid")
@@ -209,7 +212,7 @@ def _state_gaps(x1, y1, x2, y2) -> np.ndarray:
     return np.hypot(r, 1.0, out=r, where=y1 != y2)
 
 
-def skorokhod_upper_bound(z1, z2, lam: TimeDeformation, grid_step: float = 1e-3,
+def skorokhod_upper_bound(z1, z2, lam: TimeDeformation, grid_step: float = GRID_STEP,
                           method: str = "deformation") -> DistanceBound:
     """Distance bound from one explicit candidate deformation.
 
@@ -246,7 +249,7 @@ def skorokhod_upper_bound(z1, z2, lam: TimeDeformation, grid_step: float = 1e-3,
     return DistanceBound(gamma=gamma, sup_r=sup_r, bound=max(gamma, sup_r), method=method)
 
 
-def skorokhod_uniform(z1, z2, grid_step: float = 1e-3) -> DistanceBound:
+def skorokhod_uniform(z1, z2, grid_step: float = GRID_STEP) -> DistanceBound:
     """The uniform-metric bound (identity deformation)."""
     return skorokhod_upper_bound(z1, z2, TimeDeformation.identity(z1.horizon),
                                  grid_step=grid_step, method="identity")

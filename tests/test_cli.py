@@ -205,6 +205,21 @@ def _check_artifact_pins(cfg_file, tmp_path):
                  "--horizon", "3", "--quiet"]) == 0
     assert _sha256(out / "distance.csv") == (
         "8627f0e1ce6a013b77c7f48354da554ec1fe8b37405aee435f52c0c5074bd398")
+    out = tmp_path / "sde"
+    assert main(["simulate-sde", "--config", cfg_file, "--out", str(out), "--epsilon", "0.05",
+                 "--horizon", "3", "--dt", "0.01", "--replicas", "3", "--emit-paths",
+                 "--quiet"]) == 0
+    assert _sha256(out / "schedule.csv") == (
+        "562f1929a340e8a80e2895d316db03b681ddb6a0a9863663734f6cac42e407a3")
+    assert _sha256(out / "trajectory_2.csv") == (
+        "674a58233771281439cabaa11106d332b7a9d25237bd8c12249bc5bb6386a186")
+    out = tmp_path / "det"
+    assert main(["simulate-det", "--config", cfg_file, "--out", str(out), "--horizon", "3",
+                 "--sample-step", "0.01", "--quiet"]) == 0
+    assert _sha256(out / "trajectory.csv") == (
+        "74408f12aa8c1d03c84e6d9cee3890f5ec75a41191520377be910cc41c8565f7")
+    assert _sha256(out / "schedule.csv") == (
+        "3dedc4a232981bd564c159ceb70c59c5a9eb42ae316cd7f2649f3da5f88ae479")
 
 
 def test_grid_cap_splits_batches(cfg_file, tmp_path, monkeypatch):
@@ -292,17 +307,17 @@ BAD_SETTINGS = [
     (["simulate-sde", "--seed", "-1"], "seed"),
     (["distance", "--seed", "-1"], "seed"),
     (["simulate-det", "--sample-step", "nan"], "det.sample_step"),
-    (["distance", "--grid-step", "0"], "sde.grid_step"),
-    (["distance", "--grid-step", "nan"], "sde.grid_step"),
-    (["mc-sweep", "--grid-step", "0"], "grid_step"),
     (["distance", "--replica", "-1"], "--replica"),
     (["distance", "--horizon", "0", "--epsilon", "0.05"], "sde.horizon"),
     (["mc-sweep", "--p", "nan"], "p="),
-    (["mc-sweep", "--t-cap", "0"], "t_cap"),
-    (["mc-sweep", "--set", "mc.t_cap=-3"], "t_cap"),
     (["simulate-sde", "--replicas", "-3"], "sde.replicas"),
     (["strobe", "--iters", "-3"], "--iters"),
     (["mc-sweep", "--set", "mc.replcas=5"], "mc.replcas"),
+    # Retired settings: the distance grid step is fixed and T_eps is never capped.
+    (["distance", "--set", "sde.grid_step=0.01"], "unknown config key 'sde.grid_step'"),
+    (["mc-sweep", "--set", "mc.grid_step=0.01"], "unknown config key 'mc.grid_step'"),
+    (["mc-sweep", "--set", "mc.t_cap=5"], "unknown config key 'mc.t_cap'"),
+    (["mc-sweep", "--set", "mc.t_cap=-3"], "unknown config key 'mc.t_cap'"),
     (["mc-sweep", "--dt", "5e-324"], "dt="),
     (["simulate-sde", "--dt", "5e-324"], "dt="),
     (["distance", "--dt", "5e-324"], "dt="),
@@ -310,8 +325,6 @@ BAD_SETTINGS = [
     (["simulate-sde", "--dt", "1e-300"], "grid-size cap"),
     (["distance", "--dt", "1e-300"], "grid-size cap"),
     (["simulate-det", "--sample-step", "1e-300"], "grid-size cap"),
-    (["distance", "--grid-step", "1e-300"], "grid-size cap"),
-    (["mc-sweep", "--grid-step", "1e-300"], "grid-size cap"),
     (["mc-sweep", "--epsilons", "1e-100", "--nu", "0.6"], "grid-size cap"),
     (["simulate-det", "--horizon", "1000000000"], "grid-size cap"),
     (["mc-sweep", "--epsilons", "0.1", "--nu", "0.3", "--frak-t", "1" + "0" * 320], "frak_t"),
@@ -325,6 +338,17 @@ def test_bad_setting_is_config_error(small_cfg, tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error:") and named in err
+
+
+@pytest.mark.parametrize("argv", [["distance", "--grid-step", "0.01"],
+                                  ["mc-sweep", "--grid-step", "0.01"],
+                                  ["mc-sweep", "--t-cap", "5"]], ids=" ".join)
+def test_retired_flags_are_gone(small_cfg, tmp_path, capsys, argv):
+    # The distance grid step is fixed and T_eps is never capped.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", small_cfg, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 def test_horizon_zero_runs_for_simulate_sde(small_cfg, tmp_path):
@@ -341,15 +365,13 @@ TINY = {
     "--seed": "3", "--alpha-on": "0.5", "--alpha-off": "0.6", "--beta": "1.2",
     "--x-ref": "1.0", "--x0": "0.5", "--iters": "3", "--horizon": "1", "--y0": "0",
     "--sample-step": "0.1", "--epsilon": "0.1", "--dt": "0.1", "--replicas": "2",
-    "--replica": "1", "--grid-step": "0.01", "--epsilons": "0.1", "--nu": "0.3",
-    "--varsigma": "0.8", "--frak-t": "1", "--p": "2", "--workers": "1",
-    "--batch-size": "1", "--t-cap": "1",
+    "--replica": "1", "--epsilons": "0.1", "--nu": "0.3", "--varsigma": "0.8",
+    "--frak-t": "1", "--p": "2", "--workers": "1", "--batch-size": "1",
 }
 # Always drawn, so no run falls back to a large default.  Every bad token is
 # invalid or tiny for these, and for --workers, so no run forks many
 # processes or allocates a large grid.
-SIZE_FLAGS = {"--replicas", "--horizon", "--frak-t", "--t-cap", "--iters",
-              "--batch-size", "--dt"}
+SIZE_FLAGS = {"--replicas", "--horizon", "--frak-t", "--iters", "--batch-size", "--dt"}
 
 
 @st.composite

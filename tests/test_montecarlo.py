@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -7,7 +8,7 @@ from scipy.stats import norm
 
 from bucksim import (ConfigError, DomainError, McConfig, bad_event_probs,
                      distance_moment, gaussian_tail, gaussian_tail_bound,
-                     montecarlo, parallel, sweep, wilson_interval)
+                     errors, montecarlo, parallel, sweep, wilson_interval)
 from bucksim.errors import MAX_GRID_POINTS
 from bucksim.montecarlo import CSV_COLUMNS
 
@@ -62,39 +63,53 @@ def test_mcconfig_validation():
         McConfig(epsilons=(0.1,), dt=3e-4).validate()
     with pytest.raises(ConfigError):
         McConfig(epsilons=(0.1,), frak_t=0).validate()
-    for bad in (dict(epsilons=()), dict(p=math.nan), dict(t_cap=0), dict(t_cap=2.5),
-                dict(grid_step=0.0), dict(grid_step=math.nan), dict(dt=math.nan),
+    for bad in (dict(epsilons=()), dict(p=math.nan), dict(dt=math.nan),
                 dict(seed=-1), dict(seed=1.5), dict(epsilons=(0.1, 0.1)),
                 dict(epsilons=(0.0, 0.05, -0.0)), dict(frak_t=MAX_GRID_POINTS + 1),
                 dict(frak_t=10 ** 320, nu=0.3)):
         with pytest.raises(ConfigError):
             McConfig(**{"epsilons": (0.1,), **bad}).validate()
-    McConfig(epsilons=(0.1,), frak_t=MAX_GRID_POINTS, t_cap=1).validate()
+    # T_eps = floor(2**25 / 1e9**0.6) = 133: frak_t itself is at the cap.
+    McConfig(epsilons=(1e9,), nu=0.6, frak_t=MAX_GRID_POINTS).validate()
+
+
+def _no_batch(*args, **kwargs):
+    raise AssertionError("a batch was simulated")
 
 
 def test_distance_grid_checked_before_any_batch(p0, dc0, monkeypatch):
-    def no_batch(*args, **kwargs):
-        raise AssertionError("a batch was simulated")
-
-    cfg = McConfig(epsilons=(0.1,), frak_t=1, replicas=600, grid_step=1e-300)
-    bad_event_probs(p0, dc0, McConfig(epsilons=(0.1,), frak_t=1, replicas=4,
-                                      grid_step=1e-300), 0.1)  # grid_step unused
-    monkeypatch.setattr(montecarlo, "simulate_batch", no_batch)
+    # At a cap of 2500 points and dt 0.01, T_eps = 3 has a 301-node replica
+    # grid but a 3001-node distance grid.
+    monkeypatch.setattr(errors, "MAX_GRID_POINTS", 2500)
+    cfg = McConfig(epsilons=(0.1,), frak_t=3, replicas=600, dt=0.01)
+    bad_event_probs(p0, dc0, dataclasses.replace(cfg, replicas=4), 0.1)  # no distance grid
+    monkeypatch.setattr(montecarlo, "simulate_batch", _no_batch)
     for run in (sweep, lambda *a: distance_moment(*a, 0.1)):
         with pytest.raises(ConfigError, match="distance evaluation grid"):
             run(p0, dc0, cfg)
-    # Only the second noise level's grid (T_eps = 40, 4e7 nodes) is over the cap.
-    later = McConfig(epsilons=(0.1, 0.01), nu=0.5, frak_t=4, replicas=2, grid_step=1e-6)
+    # Only the second noise level's grid (T_eps = 3) is over the cap; the
+    # first one's (T_eps = 1) is not.
+    later = McConfig(epsilons=(0.5, 0.1), nu=0.5, frak_t=1, replicas=2, dt=0.01)
+    assert [later.horizon_for(e) for e in later.epsilons] == [1, 3]
     with pytest.raises(ConfigError, match="distance evaluation grid"):
         sweep(p0, dc0, later)
+
+
+@pytest.mark.parametrize("run", [bad_event_probs, distance_moment], ids=lambda f: f.__name__)
+def test_unlisted_noise_level_is_refused(p0, dc0, monkeypatch, run):
+    # Only the levels of cfg.epsilons have streams of their own; any two
+    # other levels would draw the same normals.
+    monkeypatch.setattr(montecarlo, "simulate_batch", _no_batch)
+    cfg = _small_cfg(epsilons=(0.1,))
+    for eps in (0.3, 0.4, 0.0):
+        with pytest.raises(ConfigError, match="not in epsilons"):
+            run(p0, dc0, cfg, eps)
 
 
 def test_horizon_scaling_rule():
     cfg = McConfig(epsilons=(0.04,), nu=0.5, varsigma=0.8, frak_t=10)
     assert cfg.horizon_for(0.04) == 50
     assert cfg.horizon_for(0.0) == 10
-    capped = McConfig(epsilons=(0.04,), nu=0.5, varsigma=0.8, frak_t=10, t_cap=20)
-    assert capped.horizon_for(0.04) == 20
     flat = McConfig(epsilons=(0.1,), nu=0.0, varsigma=0.8, frak_t=7)
     assert flat.horizon_for(0.1) == 7
     assert flat.delta_for(0.1) == pytest.approx(0.1 ** 0.8, abs=1e-15)
