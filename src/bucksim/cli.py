@@ -23,7 +23,7 @@ from .errors import BucksimError, ConfigError, DomainError, batch_ranges
 from .montecarlo import McConfig, _has_anomaly, deformation_for, sweep
 from .output import atomic_write_text, csv_text, format_value, write_json
 from .params import ConverterParams, derive_constants, validate_params
-from .skorokhod import skorokhod_upper_bound
+from .skorokhod import distance_grid_nodes, skorokhod_upper_bound
 from .strobe import find_fixed_point, iterate_map
 from .stochastic import StochConfig, simulate_batch, simulate_stoch
 
@@ -156,6 +156,7 @@ def _cmd_distance(s: SimpleNamespace) -> int:
     dc = derive_constants(p)
     cfg = _build(StochConfig, s)
     cfg.validate()
+    distance_grid_nodes(float(cfg.horizon))  # refuse an over-cap grid before simulating
     det = simulate_det(p, (dc.x_star, 1), cfg.horizon)
     stoch = simulate_stoch(p, (dc.x_star, 1), cfg, replica=s.replica)
     lam, method = deformation_for(det, stoch.schedule, float(cfg.horizon), try_align=True)

@@ -8,12 +8,12 @@ cap, lives here too: exceeding it is a configuration problem.
 """
 
 # Largest grid one array may span: replicas x nodes of a stochastic batch
-# (with recorded paths 16 B per replica-node while stepping, the normals and
-# x, so about 0.54 GB at the cap, and 8 B after; the stepping blocks add a
-# fixed scratch budget independent of the node count; the 1 B mode array is
-# built only when BatchResult.ys is read), or the sample/evaluation points
-# of one path.  Sweeps and simulate-sde split their replicas into batches
-# under it.
+# (8 B per replica-node, the normals, which x overwrites when paths are
+# recorded, plus one period of bridge uniforms per replica, so about
+# 0.27 GB at the cap; the stepping blocks add a fixed scratch budget
+# independent of the node count; the 1 B mode array is built only when
+# BatchResult.ys is read), or the sample/evaluation points of one path.
+# Sweeps and simulate-sde split their replicas into batches under it.
 MAX_GRID_POINTS = 2 ** 25
 
 
@@ -37,11 +37,12 @@ class InternalError(BucksimError, RuntimeError):
     """State that should be unreachable under validated inputs."""
 
 
-def check_grid_size(points: float, what: str) -> None:
+def check_grid_size(points: float, what: str,
+                    advice: str = "use a coarser step or a shorter horizon") -> None:
     """Raise ConfigError unless a grid of `points` nodes fits under MAX_GRID_POINTS."""
     if not points <= MAX_GRID_POINTS:
         raise ConfigError(f"{what} exceeds the grid-size cap of {MAX_GRID_POINTS} "
-                          "points; use a coarser step or a shorter horizon")
+                          f"points; {advice}")
 
 
 def batch_ranges(count: int, batch_size: int, points_each: int, what: str) -> list[range]:

@@ -179,7 +179,7 @@ class WarpedPath:
 def distance_grid_nodes(horizon: float, grid_step: float = GRID_STEP) -> int:
     """Nodes of the uniform distance grid over [0, horizon]; checked against the grid cap."""
     span = horizon / grid_step
-    check_grid_size(span + 1, "distance evaluation grid")
+    check_grid_size(span + 1, "distance evaluation grid", "use a shorter horizon")
     return max(1, int(math.ceil(span))) + 1
 
 

@@ -24,9 +24,12 @@ element i of its stream (normals first, then uniforms when the bridge test
 is enabled), which makes paths bit-reproducible.  All normals are drawn up
 front and scaled to the step's sd one block at a time; the uniforms are
 drawn one period at a time, which yields the same values as one draw of
-the whole horizon.  Both fills are split by replica rows across the
-process's threads (parallel.split); each stream is still drawn by one
-thread, in order, so no value depends on the thread count.
+the whole horizon.  A recorded path is written over the normals once a
+block has read them, so a batch holds 8 B per replica-node with or
+without paths, plus one period of uniforms.  Both fills are split by
+replica rows across the process's threads (parallel.split); each stream
+is still built and drawn by one thread, in order, so no value depends on
+the thread count.
 """
 
 from __future__ import annotations
@@ -225,7 +228,11 @@ def _parity_modes(switches: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BatchResult:
-    """Ensemble slice: schedules always, grid samples of x when requested."""
+    """Ensemble slice: schedules always, grid samples of x when requested.
+
+    xs (replicas x grid nodes) is a view into the batch's store, which also
+    held the normals, so its rows are not adjacent in memory.
+    """
 
     grid_t: np.ndarray
     schedules: list[ReplicaSchedule]
@@ -256,8 +263,11 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     period ends once none is left.  OFF->ON restarts are applied at node
     k + 1 from the closed-form OFF decay; the OFF stretches of recorded
     paths, values stepped after a passage included, are filled in closed
-    form after the loop.  Only the normal and uniform fills run on several
-    threads, by replica rows; everything else runs on the calling thread.
+    form after the loop.  A block writes x over the columns of the normals
+    it has just gathered, so recorded paths need no array of their own.
+    Only the generators' set-up and the normal and uniform fills run on
+    several threads, by replica rows; everything else runs on the calling
+    thread.
     """
     require_valid(p)
     cfg.validate()
@@ -279,27 +289,32 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     neg_inv_var = -(2.0 / (eps * eps * h)) if bridge else 0.0
 
     # Each replica's stream holds its n normals, then (bridge) its n uniforms.
-    # The normals are drawn up front and scaled to the step's sd a block at
-    # a time; the uniforms are drawn one period (spu values) at a time, into
-    # the same array: a separate period buffer came from the malloc heap,
-    # where the block scratch fragmented it (about 3 MB more peak RSS).
-    gens = ([replica_generator(cfg.seed, int(r), cfg.stream) for r in replica_ids]
-            if eps > 0.0 else [])
-    normals = uniforms = None
+    # One store holds a row per replica.  With paths, column 0 holds x0 and
+    # column i + 1 normal i, which a block gathers before it writes x_{i+1}
+    # over it, so xs is the first n + 1 columns.  The last spu columns hold
+    # one period's uniforms.  The normals are drawn up front and scaled to
+    # the step's sd a block at a time; the uniforms share the store because a
+    # separate period buffer came from the malloc heap, where the block
+    # scratch fragmented it (about 3 MB more peak RSS).
+    noisy = eps > 0.0
+    store = np.empty((B, record_paths + n + spu * bridge)) if noisy or record_paths else None
+    normals = store[:, record_paths:record_paths + n] if noisy else None
+    uniforms = store[:, record_paths + n:] if bridge else None
+    xs = store[:, :n + 1] if record_paths else None
     sd = ou_step_sd(p, h, eps)
-    if eps > 0.0:
-        draws = np.empty((B, n + spu * bridge))
-        normals, uniforms = draws[:, :n], draws[:, n:]
+    if noisy:
+        gens = [None] * B
 
         def fill_normals(lo: int, hi: int) -> None:
             for j in range(lo, hi):
+                gens[j] = replica_generator(cfg.seed, int(replica_ids[j]), cfg.stream)
                 gens[j].standard_normal(out=normals[j])
 
         def fill_uniforms(lo: int, hi: int) -> None:
             for j in range(lo, hi):
                 gens[j].random(out=uniforms[j])
 
-        # Each generator is filled by one thread, in stream order.
+        # Each generator is built and filled by one thread, in stream order.
         parallel.split(fill_normals, B)
 
     x = np.full(B, float(x0))   # state at the current node of every ON replica
@@ -307,7 +322,6 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     tau_last = np.full(B, np.nan)
     sig_pending = np.full(B, np.inf)
     on_start = np.zeros(B)
-    xs = np.empty((B, n + 1)) if record_paths else None
     if record_paths:
         xs[:, 0] = x
     # Passages in time order: replica rows, tau, grid step of the passage.
@@ -345,7 +359,8 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
                 pb = np.exp(np.minimum(neg_inv_var * gap[:-1] * gap[1:], 0.0))
                 crossed = up | (uniforms[act, i0 - base:i0 - base + L].T < pb)
             if record_paths:
-                # Values after a passage are replaced by the OFF fill.
+                # Values after a passage are replaced by the OFF fill.  These
+                # columns held the normals gathered into w above.
                 xs[act, i0 + 1:i0 + L + 1] = xb[1:].T
             done = crossed.any(axis=0)
             c = np.flatnonzero(done)
@@ -384,7 +399,8 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     taus, steps = np.split(tau[order], bounds), np.split(step[order], bounds)
     sigmas = [np.floor(tb) + 1.0 for tb in taus]
 
-    normals = uniforms = draws = None  # released: the OFF fill's temporaries stay off the peak
+    # Without paths this frees the draws before grid_t; xs keeps the store.
+    store = normals = uniforms = None
     grid_t = np.arange(n + 1) / spu
     if record_paths:
         for b in range(B):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bucksim import (ConverterParams, McConfig, StochConfig, derive_constants,
                      simulate_batch, simulate_stoch)
-from bucksim import errors, parallel, skorokhod
+from bucksim import cli, errors, parallel, skorokhod
 from bucksim.cli import main
 from bucksim.configfile import COMMAND_SETTINGS, parse_bool
 from bucksim.output import atomic_write_text, csv_text, format_value
@@ -245,6 +245,22 @@ def test_grid_cap_splits_batches(cfg_file, tmp_path, monkeypatch):
     monkeypatch.setattr(errors, "MAX_GRID_POINTS", 200)
     assert main(sweep + ["--out", str(tmp_path / "mc")]) == 2
     assert main(sde + ["--out", str(tmp_path / "sde")]) == 2
+
+
+def test_distance_grid_checked_before_simulating(cfg_file, tmp_path, monkeypatch, capsys):
+    # At a cap of 2500 points and dt 0.01, horizon 3 has a 301-node replica
+    # grid but a 3001-node distance grid, whose step is fixed: the refusal
+    # comes before any path is simulated and advises a shorter horizon only.
+    def no_stoch(*args, **kwargs):
+        raise AssertionError("a replica was simulated")
+
+    monkeypatch.setattr(errors, "MAX_GRID_POINTS", 2500)
+    monkeypatch.setattr(cli, "simulate_stoch", no_stoch)
+    rc = main(["distance", "--config", cfg_file, "--epsilon", "0.05", "--dt", "0.01",
+               "--horizon", "3", "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "distance evaluation grid" in err and err.rstrip().endswith("use a shorter horizon")
 
 
 def test_underflowing_noise_is_zero_noise(cfg_file, tmp_path):

@@ -326,6 +326,23 @@ def test_batch_memory_is_one_normal_array(p0, dc0):
     assert peak < 1.3 * B * n * 8
 
 
+def test_batch_with_paths_writes_x_over_its_normals(p0, dc0):
+    # With paths a batch holds one store of B (n + 1) doubles, x written over
+    # the normals it was stepped with, plus one period of bridge uniforms; at
+    # eps = 0 without paths it holds nothing of size B n.
+    B = 64
+    for eps, record_paths, limit in ((0.05, True, 1.3), (0.0, False, 0.25)):
+        cfg = StochConfig(epsilon=eps, dt=1e-3, horizon=10, seed=3)
+        n = cfg.horizon * cfg.steps_per_unit()
+        tracemalloc.start()
+        try:
+            simulate_batch(p0, dc0.x_star, cfg, range(B), record_paths=record_paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * B * n * 8, (eps, record_paths)
+
+
 def test_bridge_test_emits_no_float_warnings(p0, dc0):
     # At an endpoint crossing the bridge exponent is positive, of order
     # (drift step)^2 / (eps^2 dt): about 1e4 at eps 1e-4.  It is clamped at
