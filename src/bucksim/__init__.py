@@ -15,11 +15,10 @@ from .montecarlo import (McConfig, McReport, bad_event_probs, distance_moment,
                          gaussian_tail, gaussian_tail_bound, sweep,
                          wilson_interval)
 from .params import (ConverterParams, DerivedConstants, ParamCheck, Violation,
-                     border_point, derive_constants, params_from_circuit,
-                     validate_params)
+                     border_point, derive_constants, validate_params)
 from .skorokhod import (DistanceBound, TimeDeformation, WarpedPath,
-                        align_schedules, hybrid_distance, skorokhod_bruteforce,
-                        skorokhod_uniform, skorokhod_upper_bound)
+                        align_schedules, skorokhod_bruteforce, skorokhod_uniform,
+                        skorokhod_upper_bound)
 from .stochastic import (ReplicaSchedule, StochConfig, StochPath,
                          crossing_probability, ou_step, replica_generator,
                          simulate_batch, simulate_stoch)
@@ -30,14 +29,14 @@ __all__ = [
     "__version__",
     "BucksimError", "ConfigError", "DomainError", "InternalError", "InvalidParamsError",
     "ConverterParams", "DerivedConstants", "ParamCheck", "Violation",
-    "validate_params", "derive_constants", "border_point", "params_from_circuit",
+    "validate_params", "derive_constants", "border_point",
     "strobe_map", "strobe_map_derivative", "find_fixed_point", "iterate_map",
     "DetPath", "DetSchedule", "on_flow", "off_flow", "on_hit_time",
     "simulate_det", "sample_path",
     "StochConfig", "StochPath", "ReplicaSchedule",
     "ou_step", "crossing_probability", "simulate_stoch", "simulate_batch",
     "replica_generator",
-    "TimeDeformation", "DistanceBound", "WarpedPath", "hybrid_distance",
+    "TimeDeformation", "DistanceBound", "WarpedPath",
     "align_schedules", "skorokhod_upper_bound", "skorokhod_uniform",
     "skorokhod_bruteforce",
     "McConfig", "McReport", "gaussian_tail", "gaussian_tail_bound",

@@ -5,7 +5,8 @@ timing tolerance delta = eps^varsigma and a horizon T_eps of order
 1/eps^nu (nu < 2/3 < varsigma < 1 keeps every error term vanishing):
 
   * Gaussian tail numerics: the upper tail of the standard normal and the
-    elementary bound (3/sqrt(2 pi)) x^2 e^{-x^2/2} that controls it.
+    elementary bound (3/sqrt(2 pi)) x^2 e^{-x^2/2} that controls it.  The
+    tail uses Cephes' erfc, reproduced in Python, so it needs no scipy.
   * Bad-event probabilities: the first cycle n whose threshold passage
     deviates from the deterministic one by more than delta; the empirical
     frequencies are compared against 3 * tail(K delta / eps) per cycle,
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import erfc
 
 from . import parallel
 from .deterministic import DetPath, simulate_det
@@ -45,13 +45,60 @@ SQRT2 = math.sqrt(2.0)
 TAIL_BOUND_COEFF = 3.0 / math.sqrt(2.0 * math.pi)
 
 
+# erfc from Cephes ndtr.c (S. L. Moshier), the algorithm scipy.special.erfc
+# runs, copied operation for operation so that every tail is the same double.
+# Q, S and U carry the leading 1.0 that Cephes' p1evl leaves implicit; the
+# first step 1.0 * x + c is then x + c exactly, as in p1evl.
+_ERFC_MAXLOG = 7.09782712893383996843e2
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERFC_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+           2.23200534594684319226e3, 7.00332514112805075473e3,
+           5.55923013010394962768e4)
+_ERFC_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+           4.59432382970980127987e3, 2.26290000613890934246e4,
+           4.92673942608635921086e4)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erfc(a: float) -> float:
+    """Complementary error function for a >= 0 or NaN (Cephes' erfc)."""
+    if a < 1.0:
+        z = a * a
+        return 1.0 - a * _polevl(z, _ERFC_T) / _polevl(z, _ERFC_U)
+    if -a * a < -_ERFC_MAXLOG:
+        return 0.0
+    if a < 8.0:
+        return math.exp(-a * a) * _polevl(a, _ERFC_P) / _polevl(a, _ERFC_Q)
+    return math.exp(-a * a) * _polevl(a, _ERFC_R) / _polevl(a, _ERFC_S)
+
+
 def gaussian_tail(x):
     """Upper tail of the standard normal, 0.5 * erfc(x / sqrt(2)), for x >= 0."""
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise DomainError("gaussian_tail: argument must be >= 0")
-    out = 0.5 * erfc(arr / SQRT2)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    tails = [0.5 * _erfc(a / SQRT2) for a in arr.ravel().tolist()]
+    return tails[0] if arr.ndim == 0 else np.array(tails).reshape(arr.shape)
 
 
 def gaussian_tail_bound(x):

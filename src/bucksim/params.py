@@ -221,17 +221,3 @@ def _check_derived(p: ConverterParams, dc: DerivedConstants) -> None:
     if not ok:
         raise DomainError(f"derived constants violate their invariants ({PRECISION_LOSS}): {dc}")
 
-
-def params_from_circuit(v_in: float, r_load: float, r_diode: float, inductance: float,
-                        x_ref: float) -> ConverterParams:
-    """Documentation helper mapping raw circuit values to model constants.
-
-    beta = V_in / L, alpha_on = R / L, alpha_off = (R + r_d) / L.  This is a
-    plain unit conversion; the result still has to pass validate_params.
-    """
-    return ConverterParams(
-        alpha_on=r_load / inductance,
-        alpha_off=(r_load + r_diode) / inductance,
-        beta=v_in / inductance,
-        x_ref=x_ref,
-    )

@@ -54,11 +54,6 @@ SPLIT_POINTS = 2 ** 14
 GRID_STEP = 1e-3
 
 
-def hybrid_distance(z1: tuple[float, float], z2: tuple[float, float]) -> float:
-    """Euclidean metric on R x {0,1}: sqrt(|x1-x2|^2 + |y1-y2|^2)."""
-    return math.hypot(z1[0] - z2[0], z1[1] - z2[1])
-
-
 @dataclass(frozen=True)
 class TimeDeformation:
     """Strictly increasing piecewise-linear bijection of [0, T] onto itself."""

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -293,6 +295,48 @@ def test_mc_sweep_outputs_and_determinism(cfg_file, tmp_path):
     header = (outs[0] / "report.csv").read_text().split("\n", 1)[0]
     assert header == ("epsilon,T_eps,delta,n,emp_prob,wilson_lo,wilson_hi,"
                       "bound,emp_d_mean,emp_dp_moment,dp_se,good_freq,anomalies")
+
+
+# Runs the CLI in an interpreter where any scipy import fails.
+NO_SCIPY_MAIN = """\
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was not blocked")
+import bucksim
+import bucksim.cli
+sys.exit(bucksim.cli.main(sys.argv[1:]))
+"""
+
+
+def test_mc_sweep_runs_without_scipy(cfg_file, tmp_path):
+    # scipy is a test-only dependency: the library and the CLI never import
+    # it, and the sweep's bytes do not depend on it.
+    args = ["mc-sweep", "--config", cfg_file, "--epsilons", "0.1,0.0",
+            "--frak-t", "2", "--replicas", "20", "--dt", "0.01", "--quiet"]
+    assert main(args + ["--out", str(tmp_path / "here")]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_MAIN] + args
+                          + ["--out", str(tmp_path / "there")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for name in ("report.csv", "summary.json"):
+        assert (tmp_path / "there" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 from scipy.stats import norm
 
 from bucksim import (ConfigError, DomainError, McConfig, bad_event_probs,
@@ -27,6 +28,43 @@ def test_gaussian_tail_relative_accuracy():
     ref = norm.sf(xs)
     rel = np.abs(ours - ref) / ref
     assert rel.max() <= 1e-12
+
+
+def test_gaussian_tail_matches_scipy_erfc_bit_for_bit():
+    # The tail ports the Cephes erfc that scipy runs, so every double agrees:
+    # on seeded points, and on windows of floats around each branch edge of
+    # erfc (1, 8 and the underflow edge sqrt(MAXLOG), near 26.64) that hold
+    # the edge and the float just below it.
+    rng = np.random.default_rng(20240611)
+    parts = [rng.uniform(0.0, 40.0, 100_000),
+             # where the tail turns subnormal, x / sqrt(2) near 26.55
+             montecarlo.SQRT2 * rng.uniform(26.4, 26.7, 2_000)]
+    for edge in (1.0, 8.0, math.sqrt(montecarlo._ERFC_MAXLOG)):
+        x0 = edge * montecarlo.SQRT2
+        window = x0 + np.arange(-16, 17) * np.spacing(x0)
+        scaled = window / montecarlo.SQRT2
+        assert np.any(scaled == edge) and np.any(scaled == np.nextafter(edge, 0.0))
+        parts.append(window)
+    parts.append(np.array([0.0, -0.0, 5e-324, math.inf, math.nan]))
+    xs = np.concatenate(parts)
+    ours = gaussian_tail(xs)
+    ref = 0.5 * erfc(xs / math.sqrt(2.0))
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(ours), nan) and nan.sum() == 1
+    assert np.array_equal(ours[~nan].view(np.int64), ref[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("x, shape", [(1.5, None), (np.float64(1.5), None),
+                                      (np.array(1.5), None), (np.full(3, 1.5), (3,)),
+                                      (np.full((2, 3), 1.5), (2, 3))],
+                         ids=["float", "float64", "0-d", "1-d", "2-d"])
+def test_gaussian_tail_return_types(x, shape):
+    out = gaussian_tail(x)
+    if shape is None:
+        assert type(out) is float
+    else:
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape
+    assert np.all(out == 0.5 * erfc(1.5 / math.sqrt(2.0)))
 
 
 def test_gaussian_tail_bound_dominates_on_grid():

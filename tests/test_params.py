@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bucksim import (ConverterParams, DomainError, InvalidParamsError, border_point,
-                     derive_constants, params_from_circuit, validate_params)
+                     derive_constants, validate_params)
 from conftest import (DELTA_PLUS_P0, F_PRIME_P0, K_MINUS_P0, K_PLUS_P0,
                       MU_P0, T_STAR_P0, X_BORDER_P0, X_STAR_P0, P0,
                       random_valid_params)
@@ -119,8 +119,3 @@ def test_random_params_derived_invariants():
         closure = p.x_ref * math.exp(-p.alpha_off * (1.0 - dc.t_star))
         assert abs(closure - dc.x_star) <= 1e-9
 
-
-def test_circuit_helper_maps_to_reference_set():
-    p = params_from_circuit(v_in=1.2, r_load=0.5, r_diode=0.1,
-                            inductance=1.0, x_ref=1.0)
-    assert p == P0

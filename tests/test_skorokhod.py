@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from bucksim import (DomainError, StochConfig, StochPath, TimeDeformation, WarpedPath,
-                     align_schedules, hybrid_distance, simulate_batch, simulate_det,
-                     simulate_stoch, skorokhod_bruteforce, skorokhod_uniform,
-                     skorokhod_upper_bound)
+                     align_schedules, simulate_batch, simulate_det, simulate_stoch,
+                     skorokhod_bruteforce, skorokhod_uniform, skorokhod_upper_bound)
 from bucksim import parallel, skorokhod
 from bucksim.deterministic import DetSchedule
 from bucksim.stochastic import ReplicaSchedule
@@ -23,21 +22,6 @@ def _stoch_schedule(taus, T):
     taus = np.asarray(taus, dtype=float)
     return ReplicaSchedule(taus=taus, sigmas=np.floor(taus) + 1.0,
                            partial_final_on=False)
-
-
-def test_state_metric_examples():
-    assert hybrid_distance((0.4, 1), (0.4, 1)) == 0.0
-    assert hybrid_distance((0.4, 1), (0.4, 0)) == 1.0
-    assert hybrid_distance((0.3, 1), (0.7, 0)) == pytest.approx(math.sqrt(1.16), abs=1e-12)
-
-
-def test_state_metric_properties():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        z = [(rng.uniform(-2, 2), rng.integers(0, 2)) for _ in range(3)]
-        assert hybrid_distance(z[0], z[1]) == hybrid_distance(z[1], z[0])
-        assert hybrid_distance(z[0], z[2]) <= (hybrid_distance(z[0], z[1])
-                                               + hybrid_distance(z[1], z[2]) + 1e-12)
 
 
 def test_identity_deformation_zero_distortion():
