@@ -141,9 +141,9 @@ def _cmd_simulate_sde(s: SimpleNamespace) -> int:
                         for n, (tau, sigma) in enumerate(zip(sched.taus, sched.sigmas)))
             anomalies += _has_anomaly(sched.taus, sched.sigmas)
             if s.emit_paths:
+                path = res.path(b)
                 atomic_write_text(out / f"trajectory_{k}.csv",
-                                  csv_text(("t", "x", "y"),
-                                           zip(res.grid_t, res.xs[b], res.ys[b])))
+                                  csv_text(("t", "x", "y"), zip(path.t, path.x, path.y)))
     atomic_write_text(out / "schedule.csv",
                       csv_text(("replica", "n", "tau_n", "sigma_n"), rows))
     _say(s, f"simulated {s.replicas} replica(s) at epsilon={cfg.epsilon}; "

@@ -39,7 +39,7 @@ from .output import csv_text
 from .params import ConverterParams, DerivedConstants
 from .skorokhod import (TimeDeformation, align_schedules, distance_grid_nodes,
                         skorokhod_upper_bound)
-from .stochastic import ReplicaSchedule, StochConfig, StochPath, simulate_batch
+from .stochastic import ReplicaSchedule, StochConfig, simulate_batch
 
 SQRT2 = math.sqrt(2.0)
 TAIL_BOUND_COEFF = 3.0 / math.sqrt(2.0 * math.pi)
@@ -259,9 +259,8 @@ def _ensemble_batch(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
         first_bad[b], bad_sign[b] = _first_bad_cycle(det_t, sched.taus, delta, t_eps)
         anomaly[b] = _has_anomaly(sched.taus, sched.sigmas)
         if want_distance:
-            z2 = StochPath(t=res.grid_t, x=res.xs[b], schedule=sched, level=p.x_ref)
             lam, _ = deformation_for(det, sched, float(t_eps), first_bad[b] == 0)
-            d_bound[b] = skorokhod_upper_bound(det, z2, lam).bound
+            d_bound[b] = skorokhod_upper_bound(det, res.path(b), lam).bound
     return first_bad, bad_sign, anomaly, d_bound
 
 

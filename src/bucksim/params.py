@@ -207,6 +207,22 @@ def derive_constants(p: ConverterParams) -> DerivedConstants:
     return dc
 
 
+def mistiming_sd(p: ConverterParams, dc: DerivedConstants, n: int | None = None) -> float:
+    """Linear-response sd s_n of the n-th passage's mistiming (tau_n - t_n) / eps.
+
+    Linearised around the periodic orbit, cycle n's deviation is the ON
+    phase's OU noise over the ON slope beta - alpha_on x_ref, plus the
+    previous cycle's carried over by f'(x_star):
+    s_n^2 = v (1 + f'^2 + ... + f'^(2(n - 1))) with
+    v = (1 - e^(-2 alpha_on t_star)) / (2 alpha_on (beta - alpha_on x_ref)^2).
+    n None gives the limit s_inf^2 = v / (1 - f'^2).
+    """
+    a = p.alpha_on
+    v = -math.expm1(-2.0 * a * dc.t_star) / (2.0 * a * (p.beta - a * p.x_ref) ** 2)
+    f2 = dc.f_prime_at_star ** 2
+    return math.sqrt(v * (1.0 - (0.0 if n is None else f2 ** n)) / (1.0 - f2))
+
+
 def _check_derived(p: ConverterParams, dc: DerivedConstants) -> None:
     # Exact under valid params; in double precision the closed forms fail only
     # for parameters that the inequalities admit but rounding does not.

@@ -13,20 +13,26 @@ its grid samples exist only for output.
 A batch runs one clock period at a time: in [k, k + 1] only the replicas
 ON at node k are stepped, in blocks whose scratch is bounded independent
 of the grid size, until the block of their passage.  Restarts are applied
-at the integer nodes and the OFF stretches of recorded paths are filled in
-closed form afterwards.  A replica's mode is not stored: its schedule
-fixes it (schedule_modes).
+at the integer nodes, so each period's ON steps are its first ones, and
+the batch keeps only a window of W steps per period: the latest
+deterministic passage of the run plus WINDOW_SDS linear-response sds of
+the mistiming (window_steps).  A phase still ON at its window's edge reruns
+the batch with whole periods.  The OFF stretches of recorded paths are
+filled in closed form when a path is read.  A replica's mode is not
+stored: its schedule fixes it (schedule_modes).
 
 Replica k of an ensemble draws from a counter-based Philox stream derived
 from (seed, k), so ensembles are reproducible independent of batching or
 scheduling.  Within a replica the draw consumed at grid step i is always
 element i of its stream (normals first, then uniforms when the bridge test
 is enabled), which makes paths bit-reproducible.  All normals are drawn up
-front and scaled to the step's sd one block at a time; the uniforms are
-drawn one period at a time, which yields the same values as one draw of
-the whole horizon.  A recorded path is written over the normals once a
-block has read them, so a batch holds 8 B per replica-node with or
-without paths, plus one period of uniforms.  Both fills are split by
+front, a few periods at a time, and each period's first W are kept; they
+are scaled to the step's sd one block at a time.  The uniforms are drawn
+one period at a time.  Both yield the same values as one draw of the whole
+horizon.  A recorded path is written over the kept normals once a block
+has read them, so a batch holds 8 B per replica and window step, with or
+without paths, plus one period of uniforms: on the orbit at eps 0.01 and
+dt 1e-3, 461 of each period's 1000 steps.  Both fills are split by
 replica rows across the process's threads (parallel.split); each stream
 is still built and drawn by one thread, in order, so no value depends on
 the thread count.
@@ -42,15 +48,18 @@ from typing import Sequence
 import numpy as np
 
 from . import parallel
-from .deterministic import MODE_ON
+from .deterministic import MODE_ON, off_flow, on_hit_time
 from .errors import ConfigError, DomainError, check_grid_size
-from .params import ConverterParams, require_valid
+from .params import ConverterParams, derive_constants, mistiming_sd, require_valid
 
 
 # A block of ON steps spans about BLOCK_ELEMENTS replica-steps (at most
 # BLOCK_STEPS_MAX steps), so its scratch arrays do not depend on n.
 BLOCK_ELEMENTS = 2 ** 14
 BLOCK_STEPS_MAX = 128
+# A period keeps its first W steps: the latest deterministic passage plus
+# WINDOW_SDS linear-response sds of the mistiming (window_steps).
+WINDOW_SDS = 7.0
 
 
 def ou_step(p: ConverterParams, x: float, h: float, eps: float, gauss: float) -> float:
@@ -228,25 +237,86 @@ def _parity_modes(switches: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BatchResult:
-    """Ensemble slice: schedules always, grid samples of x when requested.
+    """Ensemble slice: schedules always, each replica's recorded path on request.
 
-    xs (replicas x grid nodes) is a view into the batch's store, which also
-    held the normals, so its rows are not adjacent in memory.
+    A recorded path is kept as the x of each period's first W grid nodes
+    after its start (window, replicas x periods x W, a view into the
+    batch's store; see simulate_batch).  path(b) fills in the rest, the
+    OFF stretches and restart nodes, in closed form when it is read; xs
+    and ys build every replica's grid samples the same way.
     """
 
     grid_t: np.ndarray
     schedules: list[ReplicaSchedule]
-    xs: np.ndarray | None
+    params: ConverterParams
+    x0: float
+    window: np.ndarray | None            # None without paths
+    passage_steps: list[np.ndarray]      # grid step of each passage, per replica
+
+    def path(self, b: int) -> StochPath:
+        """Replica b's grid samples of x, with its schedule."""
+        if self.window is None:
+            raise DomainError("BatchResult.path: the batch was simulated without paths")
+        s, p = self.schedules[b], self.params
+        n = len(self.grid_t) - 1
+        horizon, W = self.window.shape[1:]
+        x = np.empty(n + 1)
+        x[0] = self.x0
+        if horizon:
+            x[1:].reshape(horizon, -1)[:, :W] = self.window[b]
+        if len(s.taus):
+            # x decays from the node after each passage up to and including
+            # the restart node; a window never reaches past those nodes.
+            restart_nodes = s.sigmas.astype(np.int64) * (n // horizon)
+            start = self.passage_steps[b] + 1
+            lens = np.minimum(restart_nodes, n) + 1 - start
+            idx = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
+            x[idx] = p.x_ref * np.exp(-p.alpha_off * (self.grid_t[idx] - np.repeat(s.taus, lens)))
+        return StochPath(t=self.grid_t, x=x, schedule=s, level=p.x_ref)
+
+    @cached_property
+    def xs(self) -> np.ndarray | None:
+        """Grid samples of x (replicas x grid nodes); None without paths."""
+        if self.window is None:
+            return None
+        xs = np.empty((len(self.schedules), len(self.grid_t)))
+        for b in range(len(xs)):
+            xs[b] = self.path(b).x
+        return xs
 
     @cached_property
     def ys(self) -> np.ndarray | None:
         """Modes (int8, replicas x grid nodes) derived from the schedules; None without paths."""
-        if self.xs is None:
+        if self.window is None:
             return None
-        ys = np.empty(self.xs.shape, dtype=np.int8)
+        ys = np.empty((len(self.schedules), len(self.grid_t)), dtype=np.int8)
         for b, s in enumerate(self.schedules):
             ys[b] = schedule_modes(s.taus, s.sigmas, self.grid_t)
         return ys
+
+
+def window_steps(p: ConverterParams, x0: float, cfg: StochConfig) -> int:
+    """Grid steps W per period in which every ON phase of a batch is expected to pass.
+
+    W = min(spu, ceil(spu (d_max + WINDOW_SDS eps s_inf)) + 1): d_max is the
+    longest deterministic ON phase over the horizon from x0 and s_inf the
+    linear-response sd of a passage's mistiming (params.mistiming_sd).  A
+    deterministic phase that spans a clock pulse gives W = spu.
+    """
+    spu = cfg.steps_per_unit()
+    d_max, x = 0.0, x0
+    for _ in range(int(cfg.horizon)):
+        d = on_hit_time(p, x)
+        if d >= 1.0:
+            return spu
+        d_max = max(d_max, d)
+        x, x_prev = off_flow(p, 1.0 - d), x
+        # The map reverses the deviation from x_star, so x is now within this
+        # step of it: every later phase lasts t_star to within rounding.
+        if abs(x - x_prev) <= 1e-12 * p.x_ref:
+            break
+    reach = d_max + WINDOW_SDS * cfg.epsilon * mistiming_sd(p, derive_constants(p))
+    return spu if reach >= 1.0 else min(spu, math.ceil(spu * reach) + 1)
 
 
 def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
@@ -254,17 +324,22 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     """Simulate a batch of replicas on the shared grid, one clock period at a time.
 
     All replicas start from (x0, ON).  The grid time of node i is i / spu,
-    an exact float ratio, so integer clock times are hit exactly.  In the
-    period [k, k + 1] the replicas ON at node k are stepped in blocks of L
-    steps (BLOCK_ELEMENTS over their count, capped at BLOCK_STEPS_MAX): the
-    exact OU update step by step, then one pass over the block for passage
-    detection (endpoint crossing with interpolated tau; optional bridge
-    test with mid-step tau).  Crossed replicas leave after the block; the
-    period ends once none is left.  OFF->ON restarts are applied at node
-    k + 1 from the closed-form OFF decay; the OFF stretches of recorded
-    paths, values stepped after a passage included, are filled in closed
-    form after the loop.  A block writes x over the columns of the normals
-    it has just gathered, so recorded paths need no array of their own.
+    an exact float ratio, so integer clock times are hit exactly.  Restarts
+    fall on clock times, so every period's ON steps are its first ones; the
+    batch keeps only the first W steps of each period (window_steps), about
+    t_star + 7 eps s_inf of it on the orbit.  In the period [k, k + 1] the
+    replicas ON at node k are stepped in blocks of L steps (BLOCK_ELEMENTS
+    over their count, capped at BLOCK_STEPS_MAX, stopped at the window's
+    edge): the exact OU update step by step, then one pass over the block
+    for passage detection (endpoint crossing with interpolated tau;
+    optional bridge test with mid-step tau).  Crossed replicas leave after
+    the block; the period ends once none is left.  OFF->ON restarts are
+    applied at node k + 1 from the closed-form OFF decay.  A block writes x
+    over the window columns of the normals it has just gathered, so
+    recorded paths need no array of their own; their OFF stretches are
+    filled in closed form when read (BatchResult.path).  A replica still ON
+    at a window's edge, by a late passage or an ON phase that spans a
+    clock pulse, reruns the batch with W = spu, which gives the same bytes.
     Only the generators' set-up and the normal and uniform fills run on
     several threads, by replica rows; everything else runs on the calling
     thread.
@@ -273,11 +348,21 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     cfg.validate()
     if not 0.0 < x0 < p.x_ref:
         raise DomainError(f"simulate_batch: x0={x0!r} outside (0, {p.x_ref})")
+    check_grid_size(len(replica_ids) * cfg.grid_nodes(), "simulate_batch: replicas x grid nodes")
+    res = _simulate_windows(p, x0, cfg, replica_ids, record_paths, window_steps(p, x0, cfg))
+    if res is None:
+        res = _simulate_windows(p, x0, cfg, replica_ids, record_paths, cfg.steps_per_unit())
+    return res
+
+
+def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
+                      replica_ids: Sequence[int], record_paths: bool,
+                      W: int) -> BatchResult | None:
+    """simulate_batch keeping the first W steps of each period; None once a phase outlasts them."""
     spu = cfg.steps_per_unit()
     horizon = int(cfg.horizon)
     n = horizon * spu
     B = len(replica_ids)
-    check_grid_size(B * cfg.grid_nodes(), "simulate_batch: replicas x grid nodes")
     eps = float(cfg.epsilon)
     a_off = p.alpha_off
     x_ref = p.x_ref
@@ -289,26 +374,33 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     neg_inv_var = -(2.0 / (eps * eps * h)) if bridge else 0.0
 
     # Each replica's stream holds its n normals, then (bridge) its n uniforms.
-    # One store holds a row per replica.  With paths, column 0 holds x0 and
-    # column i + 1 normal i, which a block gathers before it writes x_{i+1}
-    # over it, so xs is the first n + 1 columns.  The last spu columns hold
-    # one period's uniforms.  The normals are drawn up front and scaled to
-    # the step's sd a block at a time; the uniforms share the store because a
-    # separate period buffer came from the malloc heap, where the block
-    # scratch fragmented it (about 3 MB more peak RSS).
+    # One store holds a row per replica: column k W + j holds normal k spu + j
+    # for j < W, which a block gathers before it writes x_{k spu + j + 1}
+    # over it, so the first horizon W columns are the paths' windows.  The
+    # normals are drawn a few periods at a time into a scratch of each
+    # thread, in stream order, and each period's first W are kept; the rest
+    # of a period's steps are OFF for every replica once no phase outlasts
+    # the window.  The last spu columns hold one period's uniforms, drawn
+    # whole, because a separate period buffer came from the malloc heap,
+    # where the block scratch fragmented it (about 3 MB more peak RSS).
     noisy = eps > 0.0
-    store = np.empty((B, record_paths + n + spu * bridge)) if noisy or record_paths else None
-    normals = store[:, record_paths:record_paths + n] if noisy else None
-    uniforms = store[:, record_paths + n:] if bridge else None
-    xs = store[:, :n + 1] if record_paths else None
+    win = horizon * W
+    store = np.empty((B, win + spu * bridge)) if noisy or record_paths else None
+    uniforms = store[:, win:] if bridge else None
     sd = ou_step_sd(p, h, eps)
     if noisy:
         gens = [None] * B
+        periods_per_draw = max(1, BLOCK_ELEMENTS // spu)
 
         def fill_normals(lo: int, hi: int) -> None:
+            scratch = np.empty((min(periods_per_draw, horizon), spu))
             for j in range(lo, hi):
                 gens[j] = replica_generator(cfg.seed, int(replica_ids[j]), cfg.stream)
-                gens[j].standard_normal(out=normals[j])
+                kept = store[j, :win].reshape(horizon, W)
+                for k in range(0, horizon, periods_per_draw):
+                    drawn = scratch[:min(periods_per_draw, horizon - k)]
+                    gens[j].standard_normal(out=drawn)
+                    kept[k:k + len(drawn)] = drawn[:, :W]
 
         def fill_uniforms(lo: int, hi: int) -> None:
             for j in range(lo, hi):
@@ -322,8 +414,6 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     tau_last = np.full(B, np.nan)
     sig_pending = np.full(B, np.inf)
     on_start = np.zeros(B)
-    if record_paths:
-        xs[:, 0] = x
     # Passages in time order: replica rows, tau, grid step of the passage.
     ev_rows: list[np.ndarray] = []
     ev_tau: list[np.ndarray] = []
@@ -335,20 +425,21 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
             parallel.split(fill_uniforms, B)
         act = np.flatnonzero(on)
         xa = x[act]
-        i0 = base
-        while act.size and i0 < base + spu:
-            # Steps i0 .. i0 + L - 1 of every active replica, time along axis 0.
-            L = min(max(BLOCK_ELEMENTS // act.size, 1), BLOCK_STEPS_MAX, base + spu - i0)
+        j0 = 0  # step of the period, and column of its window
+        while act.size and j0 < W:
+            # Steps base + j0 .. base + j0 + L - 1 of every active replica, time along axis 0.
+            L = min(max(BLOCK_ELEMENTS // act.size, 1), BLOCK_STEPS_MAX, W - j0)
+            cols = slice(k * W + j0, k * W + j0 + L)
             xb = np.empty((L + 1, act.size))
             xb[0] = xa
-            if normals is not None:
-                w = (normals[act, i0:i0 + L] * sd).T
+            if noisy:
+                w = (store[act, cols] * sd).T
             for j in range(L):
                 xm = xb[j + 1]
                 np.subtract(xb[j], m, out=xm)
                 np.multiply(xm, decay_on, out=xm)
                 np.add(xm, m, out=xm)
-                if normals is not None:
+                if noisy:
                     np.add(xm, w[j], out=xm)
             up = xb[1:] >= x_ref
             crossed = up
@@ -357,15 +448,15 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
                 # pb = 1 for endpoint crossings, which `up` already flags.
                 gap = x_ref - xb
                 pb = np.exp(np.minimum(neg_inv_var * gap[:-1] * gap[1:], 0.0))
-                crossed = up | (uniforms[act, i0 - base:i0 - base + L].T < pb)
+                crossed = up | (uniforms[act, j0:j0 + L].T < pb)
             if record_paths:
-                # Values after a passage are replaced by the OFF fill.  These
-                # columns held the normals gathered into w above.
-                xs[act, i0 + 1:i0 + L + 1] = xb[1:].T
+                # Values after a passage are replaced by the OFF fill when the
+                # path is read.  These columns held the normals gathered into w.
+                store[act, cols] = xb[1:].T
             done = crossed.any(axis=0)
             c = np.flatnonzero(done)
             jc = crossed[:, c].argmax(axis=0)  # step of each crosser's first passage
-            t0 = (i0 + jc) / spu
+            t0 = (base + j0 + jc) / spu
             tv = t0 + 0.5 * h
             hit = up[jc, c]
             if hit.any():
@@ -377,12 +468,14 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
             rows = act[c]
             ev_rows.append(rows)
             ev_tau.append(tv)
-            ev_step.append(i0 + jc)
+            ev_step.append(base + j0 + jc)
             on[rows] = False
             tau_last[rows] = tv
             sig_pending[rows] = np.floor(tv) + 1.0
             act, xa = act[~done], xb[L, ~done]
-            i0 += L
+            j0 += L
+        if act.size and W < spu:
+            return None
         x[act] = xa
         node = float(k + 1)
         restart = np.flatnonzero(~on & (sig_pending == node))
@@ -397,32 +490,19 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     order = np.argsort(rows, kind="stable")
     bounds = np.searchsorted(rows[order], np.arange(1, B))
     taus, steps = np.split(tau[order], bounds), np.split(step[order], bounds)
-    sigmas = [np.floor(tb) + 1.0 for tb in taus]
-
-    # Without paths this frees the draws before grid_t; xs keeps the store.
-    store = normals = uniforms = None
-    grid_t = np.arange(n + 1) / spu
-    if record_paths:
-        for b in range(B):
-            if not len(taus[b]):
-                continue
-            # x decays from the node after each passage up to and including
-            # the restart node.
-            restart_nodes = sigmas[b].astype(np.int64) * spu
-            start = steps[b] + 1
-            lens = np.minimum(restart_nodes, n) + 1 - start
-            idx = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
-            xs[b, idx] = x_ref * np.exp(-a_off * (grid_t[idx] - np.repeat(taus[b], lens)))
-
     schedules = [
         ReplicaSchedule(
             taus=taus[b],
-            sigmas=sigmas[b],
+            sigmas=np.floor(taus[b]) + 1.0,
             partial_final_on=bool(on[b] and on_start[b] < horizon and horizon > 0),
         )
         for b in range(B)
     ]
-    return BatchResult(grid_t=grid_t, schedules=schedules, xs=xs)
+    # Without paths this frees the draws before grid_t; the window keeps the store.
+    window = store[:, :win].reshape(B, horizon, W) if record_paths else None
+    store = uniforms = None
+    return BatchResult(grid_t=np.arange(n + 1) / spu, schedules=schedules, params=p,
+                       x0=float(x0), window=window, passage_steps=steps)
 
 
 def simulate_stoch(p: ConverterParams, z0: tuple[float, int], cfg: StochConfig,
@@ -431,5 +511,4 @@ def simulate_stoch(p: ConverterParams, z0: tuple[float, int], cfg: StochConfig,
     x0, y0 = z0
     if y0 != MODE_ON:
         raise DomainError("simulate_stoch: the initial mode must be ON")
-    res = simulate_batch(p, x0, cfg, [replica], record_paths=True)
-    return StochPath(t=res.grid_t, x=res.xs[0], schedule=res.schedules[0], level=p.x_ref)
+    return simulate_batch(p, x0, cfg, [replica], record_paths=True).path(0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bucksim import (ConverterParams, McConfig, StochConfig, derive_constants,
                      simulate_batch, simulate_stoch)
-from bucksim import cli, errors, parallel, skorokhod
+from bucksim import cli, errors, parallel, skorokhod, stochastic
 from bucksim.cli import main
 from bucksim.configfile import COMMAND_SETTINGS, parse_bool
 from bucksim.output import atomic_write_text, csv_text, format_value
@@ -190,6 +190,19 @@ def test_artifact_bytes_under_any_thread_count(cfg_file, tmp_path, monkeypatch, 
     monkeypatch.setattr(parallel, "thread_count", lambda: threads)
     monkeypatch.setattr(skorokhod, "SPLIT_POINTS", 2)
     _check_artifact_pins(cfg_file, tmp_path)
+
+
+def test_artifact_bytes_after_forced_reruns(cfg_file, tmp_path, monkeypatch):
+    # A window of one step sends every batch with a period through the rerun
+    # with whole periods (W = spu, 100 at dt 0.01, 1000 at dt 1e-3).
+    runs = []
+    real = stochastic._simulate_windows
+    monkeypatch.setattr(stochastic, "window_steps", lambda p, x0, cfg: 1)
+    monkeypatch.setattr(stochastic, "_simulate_windows",
+                        lambda *args: runs.append(args[-1]) or real(*args))
+    _check_artifact_pins(cfg_file, tmp_path)
+    assert runs and runs[0::2] == [1] * (len(runs) // 2)
+    assert set(runs[1::2]) == {100, 1000}
 
 
 def _check_artifact_pins(cfg_file, tmp_path):

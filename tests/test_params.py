@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bucksim import (ConverterParams, DomainError, InvalidParamsError, border_point,
-                     derive_constants, validate_params)
+from bucksim import (ConverterParams, DomainError, InvalidParamsError, StochConfig,
+                     border_point, derive_constants, simulate_batch, simulate_det,
+                     validate_params)
+from bucksim.params import mistiming_sd
 from conftest import (DELTA_PLUS_P0, F_PRIME_P0, K_MINUS_P0, K_PLUS_P0,
                       MU_P0, T_STAR_P0, X_BORDER_P0, X_STAR_P0, P0,
                       random_valid_params)
@@ -85,6 +87,35 @@ def test_derived_constants_reference_values(dc0):
     assert dc0.t_on == dc0.t_star
     assert dc0.t_off == 1.0 - dc0.t_star
     assert dc0.t_min == min(dc0.t_on, dc0.t_off)
+
+
+def test_mistiming_sd_reference_values(p0, dc0):
+    # The linear-response law's sds at P0, to the four places they are quoted in.
+    assert round(mistiming_sd(p0, dc0, 1), 4) == 0.8152
+    assert round(mistiming_sd(p0, dc0), 4) == 0.9348
+    assert round(dc0.f_prime_at_star, 4) == -0.4893
+    # s_n^2 = s_1^2 + f'^2 s_(n-1)^2, increasing to s_inf.
+    s1, f2 = mistiming_sd(p0, dc0, 1), dc0.f_prime_at_star ** 2
+    prev = s1
+    for n in range(2, 12):
+        sn = mistiming_sd(p0, dc0, n)
+        assert sn == pytest.approx(math.sqrt(s1 * s1 + f2 * prev * prev), rel=1e-13)
+        assert prev < sn < mistiming_sd(p0, dc0)
+        prev = sn
+    assert mistiming_sd(p0, dc0, 60) == pytest.approx(mistiming_sd(p0, dc0), rel=1e-15)
+
+
+def test_mistiming_sd_matches_the_engine(p0, dc0):
+    # Empirical sd of (tau_n - t_n) / eps over 4000 replicas at eps 0.01,
+    # within 4 standard errors (sd / sqrt(2 N)) of s_1 and s_2.
+    eps, N = 0.01, 4000
+    det_t = simulate_det(p0, (dc0.x_star, 1), 2).schedule.on_to_off
+    res = simulate_batch(p0, dc0.x_star, StochConfig(epsilon=eps, horizon=2, seed=31),
+                         range(N), record_paths=False)
+    dev = np.array([s.taus for s in res.schedules]) - det_t
+    for n in (1, 2):
+        sn = mistiming_sd(p0, dc0, n)
+        assert abs(dev[:, n - 1].std(ddof=1) / eps - sn) <= 4.0 * sn / math.sqrt(2 * N)
 
 
 def test_orbit_closure(p0, dc0):

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from bucksim import (ConfigError, DomainError, StochConfig, StochPath, border_point,
-                     crossing_probability, on_flow, ou_step, parallel, replica_generator,
-                     simulate_batch, simulate_det, simulate_stoch)
+                     crossing_probability, on_flow, on_hit_time, ou_step, parallel,
+                     replica_generator, simulate_batch, simulate_det, simulate_stoch,
+                     stochastic)
 from bucksim.deterministic import MODE_OFF, MODE_ON
-from bucksim.stochastic import BLOCK_ELEMENTS, BLOCK_STEPS_MAX, ou_step_sd, schedule_modes
+from bucksim.params import mistiming_sd
+from bucksim.stochastic import (BLOCK_ELEMENTS, BLOCK_STEPS_MAX, WINDOW_SDS, ou_step_sd,
+                                schedule_modes, window_steps)
 
 
 def test_ou_step_zero_noise_is_deterministic_flow(p0, dc0):
@@ -341,6 +344,111 @@ def test_batch_with_paths_writes_x_over_its_normals(p0, dc0):
         finally:
             tracemalloc.stop()
         assert peak < limit * B * n * 8, (eps, record_paths)
+
+
+@pytest.mark.parametrize("record_paths", [False, True], ids=["no-paths", "paths"])
+def test_batch_keeps_only_each_periods_window(p0, dc0, record_paths):
+    # At eps 0.01 on the orbit every phase passes within the first 461 of a
+    # period's 1000 steps, and the batch keeps only those normals and x
+    # values.  A store of whole periods peaks at about 1.05 (no paths) and
+    # 1.21 (paths) times B n doubles.
+    B, cfg = 64, StochConfig(epsilon=0.01, dt=1e-3, horizon=50, seed=3)
+    n = cfg.horizon * cfg.steps_per_unit()
+    tracemalloc.start()
+    try:
+        res = simulate_batch(p0, dc0.x_star, cfg, range(B), record_paths=record_paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * B * n * 8
+    if record_paths:
+        assert res.window.shape == (B, cfg.horizon, 461)
+
+
+def test_window_steps_rule(p0, dc0):
+    # W = min(spu, ceil(spu (d_max + WINDOW_SDS eps s_inf)) + 1), d_max the
+    # longest deterministic ON phase from x0; W = spu once a deterministic
+    # phase spans a clock pulse.
+    s_inf = mistiming_sd(p0, dc0)
+    for eps, dt in ((0.01, 1e-3), (0.05, 1e-3), (0.0, 1e-2), (0.002, 1 / 7)):
+        cfg = StochConfig(epsilon=eps, dt=dt, horizon=20)
+        spu = cfg.steps_per_unit()
+        expect = min(spu, math.ceil(spu * (dc0.t_star + WINDOW_SDS * eps * s_inf)) + 1)
+        assert window_steps(p0, dc0.x_star, cfg) == expect < spu
+    assert window_steps(p0, dc0.x_star, StochConfig(epsilon=0.01, horizon=50)) == 461
+    for eps in (0.1, 1e300):
+        assert window_steps(p0, dc0.x_star, StochConfig(epsilon=eps, horizon=10)) == 1000
+    slow = StochConfig(epsilon=0.0, horizon=3)
+    assert window_steps(p0, 0.5 * border_point(p0), slow) == slow.steps_per_unit()
+    # Off the orbit the first phase is the longest: from 1.5 x_border it
+    # lasts 0.96 of a period, and the window covers it.
+    x0 = 1.5 * border_point(p0)
+    assert window_steps(p0, x0, slow) == math.ceil(1000 * on_hit_time(p0, x0)) + 1 < 1000
+
+
+def _spy_windows(monkeypatch) -> list[int]:
+    """The window W of every pass simulate_batch makes over the periods."""
+    runs = []
+    real = stochastic._simulate_windows
+
+    def spy(*args):
+        runs.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(stochastic, "_simulate_windows", spy)
+    return runs
+
+
+@pytest.mark.parametrize("window", ["one-step", "below-passage"])
+def test_window_overflow_reruns_with_whole_periods(p0, dc0, monkeypatch, window):
+    # A phase still ON at its window's edge reruns the batch with W = spu,
+    # with the pinned bytes.  A window a few steps below the orbit's passage
+    # lets some replicas pass inside it before the rerun.
+    runs = _spy_windows(monkeypatch)
+    for case, (kw, ids, below_border, with_paths, without_paths) in ENGINE_PINS.items():
+        x0 = 0.5 * border_point(p0) if below_border else dc0.x_star
+        cfg = StochConfig(**{"dt": 1e-3, **kw})
+        spu = cfg.steps_per_unit()
+        W = 1 if window == "one-step" else max(1, math.floor(spu * dc0.t_star) - 3)
+        monkeypatch.setattr(stochastic, "window_steps", lambda p, x0, cfg: W)
+        for record_paths, digest in ((True, with_paths), (False, without_paths)):
+            runs.clear()
+            res = simulate_batch(p0, x0, cfg, ids, record_paths=record_paths)
+            assert _batch_digest(res) == digest, (case, record_paths)
+            assert runs == ([W, spu] if cfg.horizon else [W]), (case, record_paths)
+
+
+def test_clock_spanning_phase_alone_reruns(p0, dc0, monkeypatch):
+    # A window that holds every in-period passage of the batch: the ON
+    # phases that span a clock pulse still force the rerun, bytes unchanged.
+    # Replicas ON at the horizon would force it too, so they are left out.
+    cfg = StochConfig(epsilon=0.3, dt=1e-2, horizon=8, seed=11)
+    spu = cfg.steps_per_unit()
+    ids = [k for k, s in enumerate(simulate_batch(p0, dc0.x_star, cfg, range(40)).schedules)
+           if not s.partial_final_on]
+    ref = simulate_batch(p0, dc0.x_star, cfg, ids)
+    in_period, spans = [], 0
+    for s, steps in zip(ref.schedules, ref.passage_steps):
+        assert not s.partial_final_on
+        starts = np.concatenate([[0.0], s.sigmas[:-1]])
+        inside = s.taus - starts < 1.0
+        spans += np.count_nonzero(~inside)
+        in_period.append(steps[inside] - np.rint(starts[inside] * spu).astype(np.int64))
+    W = int(np.concatenate(in_period).max()) + 1
+    assert spans and W < spu
+    runs = _spy_windows(monkeypatch)
+    monkeypatch.setattr(stochastic, "window_steps", lambda p, x0, cfg: W)
+    res = simulate_batch(p0, dc0.x_star, cfg, ids)
+    assert runs == [W, spu]
+    assert _batch_digest(res) == _batch_digest(ref)
+
+
+def test_path_accessor_needs_paths(p0, dc0):
+    res = simulate_batch(p0, dc0.x_star, StochConfig(epsilon=0.05, horizon=2), range(2),
+                         record_paths=False)
+    assert res.xs is None and res.ys is None
+    with pytest.raises(DomainError):
+        res.path(0)
 
 
 def test_bridge_test_emits_no_float_warnings(p0, dc0):
