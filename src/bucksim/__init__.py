@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 from .deterministic import (DetPath, DetSchedule, off_flow, on_flow,
                             on_hit_time, sample_path, simulate_det)
-from .errors import (BucksimError, ConfigError, DomainError, InternalError,
-                     InvalidParamsError)
+from .errors import BucksimError, ConfigError, DomainError, InvalidParamsError
 from .montecarlo import (McConfig, McReport, bad_event_probs, distance_moment,
                          gaussian_tail, gaussian_tail_bound, sweep,
                          wilson_interval)
@@ -27,7 +26,7 @@ from .strobe import (find_fixed_point, iterate_map, strobe_map,
 
 __all__ = [
     "__version__",
-    "BucksimError", "ConfigError", "DomainError", "InternalError", "InvalidParamsError",
+    "BucksimError", "ConfigError", "DomainError", "InvalidParamsError",
     "ConverterParams", "DerivedConstants", "ParamCheck", "Violation",
     "validate_params", "derive_constants", "border_point",
     "strobe_map", "strobe_map_derivative", "find_fixed_point", "iterate_map",

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from . import __version__
 from .configfile import COMMAND_SETTINGS, parse_bool, resolve
 from .deterministic import sample_path, simulate_det
-from .errors import BucksimError, ConfigError, DomainError, batch_ranges
+from .errors import ConfigError, DomainError, batch_ranges
 from .montecarlo import McConfig, _has_anomaly, deformation_for, sweep
 from .output import atomic_write_text, csv_text, format_value, write_json
 from .params import ConverterParams, derive_constants, validate_params
@@ -52,8 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _build(cls, s: SimpleNamespace):
-    """Instance of a config dataclass from the resolved settings of the same names."""
-    return cls(**{f.name: getattr(s, f.name) for f in fields(cls) if hasattr(s, f.name)})
+    """Instance of a config dataclass from the resolved settings of the same names.
+
+    A setting left unset (None) takes the dataclass default.
+    """
+    return cls(**{f.name: getattr(s, f.name) for f in fields(cls)
+                  if getattr(s, f.name, None) is not None})
 
 
 def _out_dir(s: SimpleNamespace, required: bool) -> Path | None:
@@ -211,9 +215,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    except BucksimError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4

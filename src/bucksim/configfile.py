@@ -7,12 +7,14 @@ level (`alpha_on`, `alpha_off`, `beta`, `x_ref`), as does `seed`.  Values
 use decimal notation.
 
 COMMAND_SETTINGS lists, per subcommand, one row per setting: its config key
-(or none), its command-line flag, the parser from text to value, the
-default, and a range check for the values that no library config object
-validates.  `resolve` applies default < config file < `--set key=value` <
-flag (later assignments win within a file) and turns every parse or check
-failure into a ConfigError naming the setting and where its value came
-from.
+(or none), its command-line flag, the parser from text to value, a
+default only for the values that no library config object has, and a range
+check for the values that none validates.  A value that StochConfig or
+McConfig has stays unset (None) unless given, and cli._build leaves it to
+that dataclass's default.  `resolve` applies default < config file <
+`--set key=value` < flag (later assignments win within a file) and turns
+every parse or check failure into a ConfigError naming the setting and
+where its value came from.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class Setting:
 
 _COMMON = (
     Setting("out", None, "--out", str, help="output directory for artifacts"),
-    Setting("seed", "seed", "--seed", _int, 0, help="base RNG seed"),
+    Setting("seed", "seed", "--seed", _int, help="base RNG seed"),
     Setting("quiet", None, "--quiet", parse_bool, False, help="suppress summary output"),
     Setting("alpha_on", "alpha_on", "--alpha-on", float, required=True),
     Setting("alpha_off", "alpha_off", "--alpha-off", float, required=True),
@@ -135,10 +137,9 @@ def _sde(min_horizon: int) -> tuple[Setting, ...]:
     """The stochastic run's settings; a path distance needs a horizon of at least 1."""
     return (
         Setting("epsilon", "sde.epsilon", "--epsilon", float, required=True),
-        Setting("dt", "sde.dt", "--dt", float, 1e-3),
-        Setting("horizon", "sde.horizon", "--horizon", _int, 10,
-                check=_at_least(min_horizon)),
-        Setting("bridge_correction", "sde.bridge_correction", "--bridge", parse_bool, True),
+        Setting("dt", "sde.dt", "--dt", float),
+        Setting("horizon", "sde.horizon", "--horizon", _int, check=_at_least(min_horizon)),
+        Setting("bridge_correction", "sde.bridge_correction", "--bridge", parse_bool),
     )
 
 
@@ -166,15 +167,15 @@ COMMAND_SETTINGS: dict[str, tuple[Setting, ...]] = {
     "mc-sweep": _COMMON + (
         Setting("epsilons", "mc.epsilons", "--epsilons", _floats, required=True,
                 help="comma-separated list"),
-        Setting("nu", "mc.nu", "--nu", float, 0.0),
-        Setting("varsigma", "mc.varsigma", "--varsigma", float, 0.8),
-        Setting("frak_t", "mc.frak_t", "--frak-t", _int, 10),
-        Setting("p", "mc.p", "--p", float, 1.0),
-        Setting("replicas", "mc.replicas", "--replicas", _int, 1000),
-        Setting("dt", "mc.dt", "--dt", float, 1e-3),
-        Setting("workers", "mc.workers", "--workers", _int, 1),
-        Setting("batch_size", "mc.batch_size", "--batch-size", _int, 512),
-        Setting("bridge_correction", "mc.bridge_correction", "--bridge", parse_bool, True),
+        Setting("nu", "mc.nu", "--nu", float),
+        Setting("varsigma", "mc.varsigma", "--varsigma", float),
+        Setting("frak_t", "mc.frak_t", "--frak-t", _int),
+        Setting("p", "mc.p", "--p", float),
+        Setting("replicas", "mc.replicas", "--replicas", _int),
+        Setting("dt", "mc.dt", "--dt", float),
+        Setting("workers", "mc.workers", "--workers", _int),
+        Setting("batch_size", "mc.batch_size", "--batch-size", _int),
+        Setting("bridge_correction", "mc.bridge_correction", "--bridge", parse_bool),
     ),
 }
 

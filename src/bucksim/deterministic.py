@@ -80,19 +80,18 @@ class DetSchedule:
 class DetPath:
     """Piecewise-exponential trajectory with its switching schedule.
 
-    Segments are stored as (start time, mode, anchor time, anchor value);
-    within a segment the state is the closed-form flow from the anchor.
-    boundaries has one entry per segment start plus the horizon, and
-    end_state is the (x, y) value at exactly the horizon (right limits of
-    events at the horizon already applied).
+    Segments are stored as (start time, mode, x at the start); within a
+    segment the state is the closed-form flow from its start.  boundaries
+    has one entry per segment start plus the horizon, and end_state is the
+    (x, y) value at exactly the horizon (right limits of events at the
+    horizon already applied).
     """
 
     params: ConverterParams
     schedule: DetSchedule
-    boundaries: np.ndarray   # segment starts + horizon, strictly increasing
-    seg_mode: np.ndarray     # int, per segment
-    seg_anchor_t: np.ndarray
-    seg_anchor_x: np.ndarray
+    boundaries: np.ndarray    # segment starts + horizon, strictly increasing
+    seg_mode: np.ndarray      # int, per segment
+    seg_anchor_x: np.ndarray  # x at each segment start
     end_state: tuple[float, int]
     # Per grid step: the path on the uniform distance grid and at its own
     # jump times, shared by every distance bound against it (see
@@ -128,7 +127,7 @@ class DetPath:
             qi = q[inner]
             idx = np.searchsorted(self.boundaries, qi, side="right") - 1
             mode = self.seg_mode[idx]
-            at = self.seg_anchor_t[idx]
+            at = self.boundaries[idx]
             ax = self.seg_anchor_x[idx]
             p = self.params
             m = p.equilibrium
@@ -165,22 +164,20 @@ def simulate_det(p: ConverterParams, z0: tuple[float, int], horizon: int) -> Det
     horizon = int(horizon)
     seg_start: list[float] = []
     seg_mode: list[int] = []
-    seg_at: list[float] = []
     seg_ax: list[float] = []
     t_list: list[float] = []
     s_list: list[float] = []
 
-    def add_segment(start: float, mode: int, anchor_t: float, anchor_x: float) -> None:
+    def add_segment(start: float, mode: int, anchor_x: float) -> None:
         seg_start.append(start)
         seg_mode.append(mode)
-        seg_at.append(anchor_t)
         seg_ax.append(anchor_x)
 
     T = float(horizon)
     if horizon == 0:
         sched = DetSchedule(np.empty(0), np.empty(0), T, 0.0 if y0 == MODE_ON else 1.0)
         return DetPath(p, sched, np.array([0.0]), np.empty(0, dtype=int),
-                       np.empty(0), np.empty(0), (float(x0), int(y0)))
+                       np.empty(0), (float(x0), int(y0)))
 
     start_on = 0.0
     cur_t = 0.0
@@ -188,7 +185,7 @@ def simulate_det(p: ConverterParams, z0: tuple[float, int], horizon: int) -> Det
     end_state: tuple[float, int] | None = None
     if y0 == MODE_OFF:
         # Decay from x0 until the first clock pulse at t = 1.
-        add_segment(0.0, MODE_OFF, 0.0, cur_x)
+        add_segment(0.0, MODE_OFF, cur_x)
         start_on = 1.0
         cur_t = 1.0
         cur_x = cur_x * math.exp(-p.alpha_off)
@@ -199,7 +196,7 @@ def simulate_det(p: ConverterParams, z0: tuple[float, int], horizon: int) -> Det
         hit = on_hit_time(p, cur_x)
         t_n = cur_t + hit
         if t_n >= T:
-            add_segment(cur_t, MODE_ON, cur_t, cur_x)
+            add_segment(cur_t, MODE_ON, cur_x)
             if t_n == T:
                 # Threshold reached exactly at the horizon: switch, then stop.
                 t_list.append(t_n)
@@ -207,10 +204,10 @@ def simulate_det(p: ConverterParams, z0: tuple[float, int], horizon: int) -> Det
             else:
                 end_state = (on_flow(p, cur_x, T - cur_t), MODE_ON)
             break
-        add_segment(cur_t, MODE_ON, cur_t, cur_x)
+        add_segment(cur_t, MODE_ON, cur_x)
         t_list.append(t_n)
         s_n = math.floor(t_n) + 1.0  # strictly next integer, also for integer t_n
-        add_segment(t_n, MODE_OFF, t_n, p.x_ref)
+        add_segment(t_n, MODE_OFF, p.x_ref)
         s_list.append(s_n)
         cur_t = s_n
         cur_x = off_flow(p, s_n - t_n)
@@ -220,7 +217,7 @@ def simulate_det(p: ConverterParams, z0: tuple[float, int], horizon: int) -> Det
     sched = DetSchedule(np.asarray(t_list), np.asarray(s_list), T, start_on)
     boundaries = np.append(np.asarray(seg_start), T)
     return DetPath(p, sched, boundaries, np.asarray(seg_mode, dtype=int),
-                   np.asarray(seg_at), np.asarray(seg_ax), end_state)
+                   np.asarray(seg_ax), end_state)
 
 
 def sample_path(path: DetPath, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

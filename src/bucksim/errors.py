@@ -1,19 +1,18 @@
 """Exception hierarchy shared across the package.
 
-The three categories mirror the CLI exit codes: configuration problems (bad
-config files, inconsistent run options), domain problems (inputs outside an
-operation's mathematical domain), and internal inconsistencies that should
-be impossible under validated inputs.  The one resource limit, the grid-size
-cap, lives here too: exceeding it is a configuration problem.
+The two categories mirror the CLI exit codes 2 and 3: configuration
+problems (bad config files, inconsistent run options) and domain problems
+(inputs outside an operation's mathematical domain).  Any other exception
+is a bug, exit 4.  The one resource limit, the grid-size cap, lives here
+too: exceeding it is a configuration problem.
 """
 
-# Largest grid one array may span: replicas x nodes of a stochastic batch
-# (8 B per replica-node, the normals, which x overwrites when paths are
-# recorded, plus one period of bridge uniforms per replica, so about
-# 0.27 GB at the cap; the stepping blocks add a fixed scratch budget
-# independent of the node count; the 1 B mode array is built only when
-# BatchResult.ys is read), or the sample/evaluation points of one path.
-# Sweeps and simulate-sde split their replicas into batches under it.
+# Largest grid one array may span: replicas x nodes of a stochastic batch,
+# or the sample/evaluation points of one path.  A batch of B replicas over
+# n = T spu nodes holds B (T W + spu) doubles (stochastic._simulate_windows),
+# so with whole periods (W = spu) about 0.27 GB at the cap plus one period
+# per replica; reading xs builds B (n + 1) doubles more, and ys B (n + 1)
+# bytes.  Sweeps and simulate-sde split their replicas into batches under it.
 MAX_GRID_POINTS = 2 ** 25
 
 
@@ -31,10 +30,6 @@ class DomainError(BucksimError, ValueError):
 
 class InvalidParamsError(DomainError):
     """Converter parameters violate the stability assumptions."""
-
-
-class InternalError(BucksimError, RuntimeError):
-    """State that should be unreachable under validated inputs."""
 
 
 def check_grid_size(points: float, what: str,

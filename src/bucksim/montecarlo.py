@@ -361,20 +361,17 @@ def _bad_event_table(dc: DerivedConstants, cfg: McConfig, eps: float,
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Estimate of E[d^p] for one noise level from per-replica distance bounds."""
+    """Estimate of E[d^p] for one noise level from per-replica distance bounds.
 
-    epsilon: float
-    t_eps: int
-    delta: float
-    replicas: int
+    Its level, horizon and replica count are those of the level's BadEventTable.
+    """
+
     p: float
     moment: float
     se: float
     mean_d: float
     q90: float
     q99: float
-    good_freq: float
-    anomaly_count: int
 
 
 def _moment_estimate(tab: BadEventTable, p_order: float, d: np.ndarray) -> MomentEstimate:
@@ -386,13 +383,8 @@ def _moment_estimate(tab: BadEventTable, p_order: float, d: np.ndarray) -> Momen
     if not (math.isfinite(moment) and math.isfinite(se)):
         raise DomainError(f"E[d^p] or its standard error overflows at p={p_order!r} "
                           f"(epsilon={tab.epsilon!r}); use a smaller p")
-    return MomentEstimate(
-        epsilon=tab.epsilon, t_eps=tab.t_eps, delta=tab.delta,
-        replicas=tab.replicas, p=p_order,
-        moment=moment, se=se, mean_d=float(d.mean()),
-        q90=float(np.quantile(d, 0.9)), q99=float(np.quantile(d, 0.99)),
-        good_freq=tab.good_freq, anomaly_count=tab.anomaly_count,
-    )
+    return MomentEstimate(p=p_order, moment=moment, se=se, mean_d=float(d.mean()),
+                          q90=float(np.quantile(d, 0.9)), q99=float(np.quantile(d, 0.99)))
 
 
 def _verdicts(p: ConverterParams, dc: DerivedConstants, cfg: McConfig, eps: float,
@@ -461,8 +453,8 @@ class McReport:
                 "d_q90": mom.q90,
                 "d_q99": mom.q99,
             })
-        moments = [m.moment for m in self.moments]
-        by_eps = sorted(zip([m.epsilon for m in self.moments], moments),
+        by_eps = sorted(((tab.epsilon, mom.moment)
+                         for tab, mom in zip(self.tables, self.moments)),
                         key=lambda t: -t[0])
         ordered = [v for _, v in by_eps]
         decreasing = all(a > b for a, b in zip(ordered, ordered[1:]))

@@ -108,8 +108,7 @@ def align_schedules(det: DetSchedule, stoch: ReplicaSchedule,
     """
     n_det = len(det.on_to_off)
     if (det.start_on != 0.0 or stoch.partial_final_on
-            or len(det.off_to_on) != n_det or len(stoch.sigmas) != len(stoch.taus)
-            or len(stoch.taus) != n_det):
+            or len(det.off_to_on) != n_det or len(stoch.taus) != n_det):
         return None
     if n_det == 0:
         return TimeDeformation.identity(horizon) if horizon > 0 else None

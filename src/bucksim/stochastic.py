@@ -19,21 +19,15 @@ deterministic passage of the run plus WINDOW_SDS linear-response sds of
 the mistiming (window_steps).  A phase still ON at its window's edge reruns
 the batch with whole periods.  The OFF stretches of recorded paths are
 filled in closed form when a path is read.  A replica's mode is not
-stored: its schedule fixes it (schedule_modes).
+stored: its schedule fixes it (schedule_modes).  _simulate_windows
+describes the one store that holds a batch's draws and recorded paths.
 
 Replica k of an ensemble draws from a counter-based Philox stream derived
 from (seed, k), so ensembles are reproducible independent of batching or
 scheduling.  Within a replica the draw consumed at grid step i is always
 element i of its stream (normals first, then uniforms when the bridge test
-is enabled), which makes paths bit-reproducible.  All normals are drawn up
-front, a few periods at a time, and each period's first W are kept; they
-are scaled to the step's sd one block at a time.  The uniforms are drawn
-one period at a time.  Both yield the same values as one draw of the whole
-horizon.  A recorded path is written over the kept normals once a block
-has read them, so a batch holds 8 B per replica and window step, with or
-without paths, plus one period of uniforms: on the orbit at eps 0.01 and
-dt 1e-3, 461 of each period's 1000 steps.  Both fills are split by
-replica rows across the process's threads (parallel.split); each stream
+is enabled), which makes paths bit-reproducible.  The normal fill is split
+by replica rows across the process's threads (parallel.split); each stream
 is still built and drawn by one thread, in order, so no value depends on
 the thread count.
 """
@@ -147,15 +141,19 @@ def replica_generator(seed: int, replica: int, stream: int = 0) -> np.random.Gen
 class ReplicaSchedule:
     """Switching times of one stochastic replica.
 
-    taus[n] is the n-th threshold passage, sigmas[n] the strictly-next
-    integer after it.  The final sigma may exceed the horizon (OFF phase
-    truncated); partial_final_on marks an ON phase begun strictly before
-    the horizon that never crossed (its tau is absent).
+    taus[n] is the n-th threshold passage, sigmas[n] the restart after it.
+    The final sigma may exceed the horizon (OFF phase truncated);
+    partial_final_on marks an ON phase begun strictly before the horizon
+    that never crossed (its tau is absent).
     """
 
     taus: np.ndarray
-    sigmas: np.ndarray
     partial_final_on: bool
+
+    @cached_property
+    def sigmas(self) -> np.ndarray:
+        """Restart times: the strictly-next integer after each passage."""
+        return np.floor(self.taus) + 1.0
 
     @property
     def cycles(self) -> int:
@@ -241,7 +239,7 @@ class BatchResult:
 
     A recorded path is kept as the x of each period's first W grid nodes
     after its start (window, replicas x periods x W, a view into the
-    batch's store; see simulate_batch).  path(b) fills in the rest, the
+    batch's store; see _simulate_windows).  path(b) fills in the rest, the
     OFF stretches and restart nodes, in closed form when it is read; xs
     and ys build every replica's grid samples the same way.
     """
@@ -310,11 +308,7 @@ def window_steps(p: ConverterParams, x0: float, cfg: StochConfig) -> int:
         if d >= 1.0:
             return spu
         d_max = max(d_max, d)
-        x, x_prev = off_flow(p, 1.0 - d), x
-        # The map reverses the deviation from x_star, so x is now within this
-        # step of it: every later phase lasts t_star to within rounding.
-        if abs(x - x_prev) <= 1e-12 * p.x_ref:
-            break
+        x = off_flow(p, 1.0 - d)
     reach = d_max + WINDOW_SDS * cfg.epsilon * mistiming_sd(p, derive_constants(p))
     return spu if reach >= 1.0 else min(spu, math.ceil(spu * reach) + 1)
 
@@ -334,15 +328,13 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     for passage detection (endpoint crossing with interpolated tau;
     optional bridge test with mid-step tau).  Crossed replicas leave after
     the block; the period ends once none is left.  OFF->ON restarts are
-    applied at node k + 1 from the closed-form OFF decay.  A block writes x
-    over the window columns of the normals it has just gathered, so
-    recorded paths need no array of their own; their OFF stretches are
+    applied at node k + 1 from the closed-form OFF decay.  Recorded paths
+    share the draws' store (_simulate_windows); their OFF stretches are
     filled in closed form when read (BatchResult.path).  A replica still ON
     at a window's edge, by a late passage or an ON phase that spans a
     clock pulse, reruns the batch with W = spu, which gives the same bytes.
-    Only the generators' set-up and the normal and uniform fills run on
-    several threads, by replica rows; everything else runs on the calling
-    thread.
+    Only the generators' set-up and the normal fill run on several threads,
+    by replica rows; everything else runs on the calling thread.
     """
     require_valid(p)
     cfg.validate()
@@ -358,7 +350,25 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
 def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
                       replica_ids: Sequence[int], record_paths: bool,
                       W: int) -> BatchResult | None:
-    """simulate_batch keeping the first W steps of each period; None once a phase outlasts them."""
+    """simulate_batch keeping the first W steps of each period; None once a phase outlasts them.
+
+    Each replica's stream holds its n normals, then (bridge) its n uniforms.
+    One store holds a row per replica: column k W + j holds normal k spu + j
+    for j < W, which a block gathers before it writes x_{k spu + j + 1}
+    over it, so the first T W columns are the paths' windows and recorded
+    paths need no array of their own.  The normals are drawn a few periods
+    at a time into a scratch of each thread, in stream order, and each
+    period's first W are kept; they are scaled to the step's sd one block at
+    a time.  The rest of a period's steps are OFF for every replica once no
+    phase outlasts the window.  The last spu columns hold one period's
+    uniforms, drawn whole at the period's start on the calling thread; a
+    separate period buffer came from the malloc heap, where the block
+    scratch fragmented it (about 3 MB more peak RSS).  Drawn in parts, both
+    kinds equal one draw of the whole horizon.  So a batch holds
+    B (T W + spu) doubles, with or without paths (the last spu columns only
+    with the bridge test): on the orbit at eps 0.01 and dt 1e-3, W = 461 of
+    each period's 1000 steps.
+    """
     spu = cfg.steps_per_unit()
     horizon = int(cfg.horizon)
     n = horizon * spu
@@ -373,16 +383,6 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     bridge = cfg.bridge_correction and eps * eps * h > 0.0
     neg_inv_var = -(2.0 / (eps * eps * h)) if bridge else 0.0
 
-    # Each replica's stream holds its n normals, then (bridge) its n uniforms.
-    # One store holds a row per replica: column k W + j holds normal k spu + j
-    # for j < W, which a block gathers before it writes x_{k spu + j + 1}
-    # over it, so the first horizon W columns are the paths' windows.  The
-    # normals are drawn a few periods at a time into a scratch of each
-    # thread, in stream order, and each period's first W are kept; the rest
-    # of a period's steps are OFF for every replica once no phase outlasts
-    # the window.  The last spu columns hold one period's uniforms, drawn
-    # whole, because a separate period buffer came from the malloc heap,
-    # where the block scratch fragmented it (about 3 MB more peak RSS).
     noisy = eps > 0.0
     win = horizon * W
     store = np.empty((B, win + spu * bridge)) if noisy or record_paths else None
@@ -402,10 +402,6 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
                     gens[j].standard_normal(out=drawn)
                     kept[k:k + len(drawn)] = drawn[:, :W]
 
-        def fill_uniforms(lo: int, hi: int) -> None:
-            for j in range(lo, hi):
-                gens[j].random(out=uniforms[j])
-
         # Each generator is built and filled by one thread, in stream order.
         parallel.split(fill_normals, B)
 
@@ -413,7 +409,6 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     on = np.ones(B, dtype=bool)
     tau_last = np.full(B, np.nan)
     sig_pending = np.full(B, np.inf)
-    on_start = np.zeros(B)
     # Passages in time order: replica rows, tau, grid step of the passage.
     ev_rows: list[np.ndarray] = []
     ev_tau: list[np.ndarray] = []
@@ -422,7 +417,8 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     for k in range(horizon):
         base = k * spu
         if bridge:
-            parallel.split(fill_uniforms, B)
+            for j in range(B):
+                gens[j].random(out=uniforms[j])
         act = np.flatnonzero(on)
         xa = x[act]
         j0 = 0  # step of the period, and column of its window
@@ -481,7 +477,6 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
         restart = np.flatnonzero(~on & (sig_pending == node))
         if restart.size:
             on[restart] = True
-            on_start[restart] = node
             x[restart] = x_ref * np.exp(-a_off * (node - tau_last[restart]))
 
     # Group the passages by replica; a stable sort keeps each replica's in time order.
@@ -490,14 +485,11 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     order = np.argsort(rows, kind="stable")
     bounds = np.searchsorted(rows[order], np.arange(1, B))
     taus, steps = np.split(tau[order], bounds), np.split(step[order], bounds)
-    schedules = [
-        ReplicaSchedule(
-            taus=taus[b],
-            sigmas=np.floor(taus[b]) + 1.0,
-            partial_final_on=bool(on[b] and on_start[b] < horizon and horizon > 0),
-        )
-        for b in range(B)
-    ]
+    # A replica's last ON phase begins at its last restart, or at 0, and
+    # has no passage; one begun before the horizon is still ON there.
+    last_restart = [math.floor(t[-1]) + 1 if len(t) else 0 for t in taus]
+    schedules = [ReplicaSchedule(taus=t, partial_final_on=r < horizon)
+                 for t, r in zip(taus, last_restart)]
     # Without paths this frees the draws before grid_t; the window keeps the store.
     window = store[:, :win].reshape(B, horizon, W) if record_paths else None
     store = uniforms = None

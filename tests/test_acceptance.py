@@ -128,8 +128,7 @@ def test_criterion_7_time_deformation_distortion_cap():
         rng = np.random.default_rng(7)
         for _ in range(1000):
             taus = det.on_to_off + rng.uniform(-delta, delta, T)
-            stoch = ReplicaSchedule(taus=taus, sigmas=np.floor(taus) + 1.0,
-                                    partial_final_on=False)
+            stoch = ReplicaSchedule(taus=taus, partial_final_on=False)
             lam = align_schedules(det, stoch, float(T))
             assert lam is not None
             assert lam.distortion() <= cap

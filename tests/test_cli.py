@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from bucksim import (ConverterParams, McConfig, StochConfig, derive_constants,
                      simulate_batch, simulate_stoch)
 from bucksim import cli, errors, parallel, skorokhod, stochastic
 from bucksim.cli import main
-from bucksim.configfile import COMMAND_SETTINGS, parse_bool
+from bucksim.configfile import COMMAND_SETTINGS, parse_bool, resolve
 from bucksim.output import atomic_write_text, csv_text, format_value
 
 P0_CONFIG = """\
@@ -105,6 +106,26 @@ def test_flag_beats_set_beats_file(cfg_file, capsys):
     rc = main(["validate", "--config", cfg_file, "--set", "beta=0.9"])
     assert rc == 3
     capsys.readouterr()
+
+
+_REQUIRED = ["alpha_on=0.5", "alpha_off=0.6", "beta=1.2", "x_ref=1.0"]
+
+
+@pytest.mark.parametrize("command,required,default", [
+    ("mc-sweep", ["mc.epsilons=0.1"], McConfig(epsilons=(0.1,))),
+    ("simulate-sde", ["sde.epsilon=0.1"], StochConfig(epsilon=0.1)),
+    ("distance", ["sde.epsilon=0.1"], StochConfig(epsilon=0.1)),
+])
+def test_unset_settings_take_the_config_defaults(command, required, default):
+    # The settings table states no default that the config dataclass has.
+    def build(overrides, flags):
+        s = resolve(COMMAND_SETTINGS[command], None, _REQUIRED + required + overrides, flags)
+        return cli._build(type(default), s)
+
+    assert build([], {}) == default
+    # A value that is set still wins: by --set, by a flag and by a boolean flag.
+    assert build(["seed=5"], {"dt": "0.01", "bridge_correction": "false"}) == (
+        dataclasses.replace(default, seed=5, dt=0.01, bridge_correction=False))
 
 
 def test_strobe_cobweb_csv(cfg_file, tmp_path):

@@ -118,7 +118,7 @@ def test_continuity_at_switches(p0):
         m = p.beta / p.alpha_on
         for i in range(len(path.seg_mode) - 1):
             t_end = path.boundaries[i + 1]
-            at, ax = path.seg_anchor_t[i], path.seg_anchor_x[i]
+            at, ax = path.boundaries[i], path.seg_anchor_x[i]
             if path.seg_mode[i] == 1:
                 left = m + (ax - m) * math.exp(-p.alpha_on * (t_end - at))
             else:

@@ -200,7 +200,7 @@ def test_distance_moment_zero_noise_is_exactly_zero(p0, dc0):
     cfg = _small_cfg(epsilons=(0.0,))
     mom = distance_moment(p0, dc0, cfg, 0.0)
     assert mom.moment == 0.0 and mom.se == 0.0 and mom.mean_d == 0.0
-    assert mom.good_freq == 1.0
+    assert bad_event_probs(p0, dc0, cfg, 0.0).good_freq == 1.0
 
 
 def test_distance_moment_basic(p0, dc0):
@@ -208,7 +208,7 @@ def test_distance_moment_basic(p0, dc0):
     mom = distance_moment(p0, dc0, cfg, 0.1)
     assert mom.moment > 0.0
     assert mom.se > 0.0
-    assert 0.0 <= mom.good_freq <= 1.0
+    assert 0.0 <= bad_event_probs(p0, dc0, cfg, 0.1).good_freq <= 1.0
     assert mom.q90 <= mom.q99 + 1e-15
 
 

@@ -34,7 +34,7 @@ def test_alpha_on_log2_violation():
 def test_precision_loss_is_domain_error():
     # Admissible in exact arithmetic, but rounding defeats the closed forms:
     # alpha_off one ulp below its upper bound 0.7, or alpha_on so small that
-    # beta / alpha_on swamps x_ref.  A DomainError, never an InternalError.
+    # beta / alpha_on swamps x_ref.  A DomainError, never an internal error.
     for p in (ConverterParams(0.5, math.nextafter(0.7, 0.0), 1.2, 1.0),
               ConverterParams(1e-17, 0.6, 1.2, 1.5),
               ConverterParams(1e-300, 0.6, 1.2, 1.5),

@@ -20,8 +20,7 @@ def _det_schedule(dc0, T):
 
 def _stoch_schedule(taus, T):
     taus = np.asarray(taus, dtype=float)
-    return ReplicaSchedule(taus=taus, sigmas=np.floor(taus) + 1.0,
-                           partial_final_on=False)
+    return ReplicaSchedule(taus=taus, partial_final_on=False)
 
 
 def test_identity_deformation_zero_distortion():
@@ -95,7 +94,7 @@ def test_align_rejects_mismatches(dc0):
     assert align_schedules(det, bad, 3.0) is None
     # partial final cycle
     part = ReplicaSchedule(taus=np.array([dc0.t_star, 1.0 + dc0.t_star]),
-                           sigmas=np.array([1.0, 2.0]), partial_final_on=True)
+                           partial_final_on=True)
     assert align_schedules(det, part, 3.0) is None
 
 

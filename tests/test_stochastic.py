@@ -155,6 +155,29 @@ def test_partial_final_cycle_truncation(p0):
     assert path.schedule.partial_final_on
 
 
+def test_partial_final_on_follows_the_last_restart(p0, dc0):
+    # No phase begins before a horizon of 0.
+    cfg = StochConfig(epsilon=0.1, horizon=0)
+    assert not simulate_batch(p0, dc0.x_star, cfg, [0]).schedules[0].partial_final_on
+    # A slow first passage restarts exactly at the horizon: that phase
+    # begins at the horizon, not before it.
+    cfg = StochConfig(epsilon=0.0, horizon=2)
+    s = simulate_batch(p0, 0.5 * border_point(p0), cfg, [0]).schedules[0]
+    assert s.cycles == 1 and s.sigmas[-1] == 2.0 and not s.partial_final_on
+    # Noisy phases begun at a restart before the horizon that never pass.
+    cfg = StochConfig(epsilon=0.4, dt=1e-2, horizon=4, seed=3)
+    res = simulate_batch(p0, dc0.x_star, cfg, range(40))
+    spu = cfg.steps_per_unit()
+    partial = 0
+    for b, s in enumerate(res.schedules):
+        last_restart = s.sigmas[-1] if s.cycles else 0.0
+        assert s.partial_final_on == (last_restart < cfg.horizon)
+        if s.partial_final_on:
+            partial += s.cycles > 0
+            assert np.all(res.path(b).x[int(last_restart) * spu:] < p0.x_ref)
+    assert partial
+
+
 def test_slow_passage_is_supported(p0):
     # Zero noise from below the border: tau_1 > 1, sigma_1 = ceil(tau_1) = 2.
     x0 = 0.5 * border_point(p0)
