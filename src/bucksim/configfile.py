@@ -3,7 +3,8 @@
 Config files are plain text, one `key = value` assignment per line, with
 `#` comments and blank lines ignored.  Keys are namespaced with dotted
 prefixes (`sde.epsilon`, `mc.replicas`); model parameters live at the top
-level (`alpha_on`, `alpha_off`, `beta`, `x_ref`), as does `seed`.  Values
+level (`alpha_on`, `alpha_off`, `beta`, `x_ref`), as does `seed`, which
+only the commands that draw (simulate-sde, distance, mc-sweep) read.  Values
 use decimal notation.
 
 COMMAND_SETTINGS lists, per subcommand, one row per setting: its config key
@@ -124,7 +125,6 @@ class Setting:
 
 _COMMON = (
     Setting("out", None, "--out", str, help="output directory for artifacts"),
-    Setting("seed", "seed", "--seed", _int, help="base RNG seed"),
     Setting("quiet", None, "--quiet", parse_bool, False, help="suppress summary output"),
     Setting("alpha_on", "alpha_on", "--alpha-on", float, required=True),
     Setting("alpha_off", "alpha_off", "--alpha-off", float, required=True),
@@ -133,9 +133,14 @@ _COMMON = (
 )
 
 
+# Only the commands that draw random numbers take a seed.
+_SEED = Setting("seed", "seed", "--seed", _int, help="base RNG seed")
+
+
 def _sde(min_horizon: int) -> tuple[Setting, ...]:
     """The stochastic run's settings; a path distance needs a horizon of at least 1."""
     return (
+        _SEED,
         Setting("epsilon", "sde.epsilon", "--epsilon", float, required=True),
         Setting("dt", "sde.dt", "--dt", float),
         Setting("horizon", "sde.horizon", "--horizon", _int, check=_at_least(min_horizon)),
@@ -165,6 +170,7 @@ COMMAND_SETTINGS: dict[str, tuple[Setting, ...]] = {
     ),
     # McConfig.validate checks every mc.* value.
     "mc-sweep": _COMMON + (
+        _SEED,
         Setting("epsilons", "mc.epsilons", "--epsilons", _floats, required=True,
                 help="comma-separated list"),
         Setting("nu", "mc.nu", "--nu", float),

@@ -43,6 +43,8 @@ from .stochastic import ReplicaSchedule, StochConfig, simulate_batch
 
 SQRT2 = math.sqrt(2.0)
 TAIL_BOUND_COEFF = 3.0 / math.sqrt(2.0 * math.pi)
+# Normal quantile of the 95 % Wilson intervals in the report.
+WILSON_Z = 1.96
 
 
 # erfc from Cephes ndtr.c (S. L. Moshier), the algorithm scipy.special.erfc
@@ -108,8 +110,9 @@ def gaussian_tail_bound(x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (robust near 0)."""
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """Wilson score interval at WILSON_Z for a binomial proportion (robust near 0)."""
+    z = WILSON_Z
     if n <= 0:
         return 0.0, 1.0
     ph = k / n

@@ -251,11 +251,14 @@ def skorokhod_uniform(z1, z2, grid_step: float = GRID_STEP) -> DistanceBound:
 
 MAX_BRUTEFORCE_HORIZON = 3.0
 MAX_BRUTEFORCE_JUMPS = 4
+# The oracle's candidate images per jump, its distance grid step and its
+# rounds of coordinate descent.
+BRUTEFORCE_CANDIDATES = 9
+BRUTEFORCE_GRID_STEP = 2e-3
+BRUTEFORCE_REFINE_ROUNDS = 40
 
 
-def skorokhod_bruteforce(z1, z2, candidates_per_jump: int = 9,
-                         grid_step: float = 2e-3,
-                         refine_rounds: int = 40) -> DistanceBound:
+def skorokhod_bruteforce(z1, z2) -> DistanceBound:
     """Small-instance reference: minimize the bound over candidate deformations.
 
     Candidate deformations keep knots at the jump times of z1 and scan a
@@ -274,21 +277,19 @@ def skorokhod_bruteforce(z1, z2, candidates_per_jump: int = 9,
     b = np.asarray(z2.jump_times, dtype=float)
     if T > MAX_BRUTEFORCE_HORIZON + 1e-9 or max(len(a), len(b)) > MAX_BRUTEFORCE_JUMPS:
         raise DomainError("skorokhod_bruteforce: instance too large for the oracle")
-    if len(a) != len(b):
-        return skorokhod_uniform(z1, z2, grid_step=grid_step)
-    if len(a) == 0:
-        return skorokhod_uniform(z1, z2, grid_step=grid_step)
+    if len(a) != len(b) or len(a) == 0:
+        return skorokhod_uniform(z1, z2, grid_step=BRUTEFORCE_GRID_STEP)
 
     def bound_for(images: np.ndarray) -> float:
         lam = TimeDeformation(np.concatenate([[0.0], a, [T]]),
                               np.concatenate([[0.0], images, [T]]))
-        return skorokhod_upper_bound(z1, z2, lam, grid_step=grid_step).bound
+        return skorokhod_upper_bound(z1, z2, lam, grid_step=BRUTEFORCE_GRID_STEP).bound
 
     fences = np.concatenate([[0.0], b, [T]])
     spans = 0.45 * np.minimum(np.diff(fences)[:-1], np.diff(fences)[1:])
     grids = []
     for j in range(len(b)):
-        g = b[j] + spans[j] * np.linspace(-1.0, 1.0, candidates_per_jump)
+        g = b[j] + spans[j] * np.linspace(-1.0, 1.0, BRUTEFORCE_CANDIDATES)
         g = g[(g > 0.0) & (g < T)]
         grids.append(np.unique(np.append(g, b[j])))
 
@@ -304,9 +305,9 @@ def skorokhod_bruteforce(z1, z2, candidates_per_jump: int = 9,
             best_val, best = val, images
 
     # Coordinate descent around the best grid candidate.
-    step = float(spans.min()) / candidates_per_jump
+    step = float(spans.min()) / BRUTEFORCE_CANDIDATES
     images = best.copy()
-    for _ in range(refine_rounds):
+    for _ in range(BRUTEFORCE_REFINE_ROUNDS):
         improved = False
         for j in range(len(images)):
             for cand in (images[j] - step, images[j] + step):
@@ -326,9 +327,9 @@ def skorokhod_bruteforce(z1, z2, candidates_per_jump: int = 9,
 
     lam = TimeDeformation(np.concatenate([[0.0], a, [T]]),
                           np.concatenate([[0.0], images, [T]]))
-    out = skorokhod_upper_bound(z1, z2, lam, grid_step=grid_step, method="bruteforce")
+    out = skorokhod_upper_bound(z1, z2, lam, grid_step=BRUTEFORCE_GRID_STEP, method="bruteforce")
     # identity is always admissible; never report worse than it
-    ident = skorokhod_uniform(z1, z2, grid_step=grid_step)
+    ident = skorokhod_uniform(z1, z2, grid_step=BRUTEFORCE_GRID_STEP)
     if ident.bound < out.bound:
         return dataclasses.replace(ident, method="bruteforce")
     return out

@@ -8,7 +8,10 @@ bias.  The only approximation is first-passage detection of the threshold
 x_ref, refined below the grid by linear interpolation at endpoint crossings
 and, optionally, by a Brownian-bridge crossing test inside non-crossing
 steps.  The OFF state is deterministic decay and is evaluated closed-form;
-its grid samples exist only for output.
+its grid samples exist only for output.  Each rule has one formula: the
+engine's ON step makes ou_step's operations in ou_step's order, its bridge
+test calls the function crossing_probability calls, and its restarts follow
+ReplicaSchedule.sigmas, so the scalars are the rules the engine runs.
 
 A batch runs one clock period at a time: in [k, k + 1] only the replicas
 ON at node k are stepped, in blocks whose scratch is bounded independent
@@ -42,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from . import parallel
-from .deterministic import MODE_ON, off_flow, on_hit_time
+from .deterministic import MODE_ON, off_flow, on_flow, on_hit_time
 from .errors import ConfigError, DomainError, check_grid_size
 from .params import ConverterParams, derive_constants, mistiming_sd, require_valid
 
@@ -61,12 +64,14 @@ def ou_step(p: ConverterParams, x: float, h: float, eps: float, gauss: float) ->
 
     Returns m + (x - m) e^{-a h} + sd(h) * gauss with m = beta/alpha_on and
     sd(h) = eps sqrt((1 - e^{-2 a h}) / (2 a)); `gauss` is a standard-normal
-    draw.  With eps = 0 this reduces exactly to the deterministic flow.
+    draw.  With eps = 0 this reduces exactly to the deterministic flow.  It
+    is the engine's ON step: simulate_batch's in-place loop makes the same
+    operations in the same order, so each recorded step equals ou_step with
+    that step's normal, bit for bit.
     """
     if h < 0:
         raise DomainError(f"ou_step: h={h!r} must be >= 0")
-    m = p.equilibrium
-    return m + (x - m) * math.exp(-p.alpha_on * h) + ou_step_sd(p, h, eps) * gauss
+    return on_flow(p, x, h) + ou_step_sd(p, h, eps) * gauss
 
 
 def ou_step_sd(p: ConverterParams, h: float, eps: float) -> float:
@@ -78,18 +83,32 @@ def ou_step_sd(p: ConverterParams, h: float, eps: float) -> float:
 def crossing_probability(x1: float, x2: float, level: float, h: float, eps: float) -> float:
     """Brownian-bridge probability that a step with endpoints below `level` touched it.
 
-    exp(-2 (level - x1)(level - x2) / (eps^2 h)); endpoints exactly at the
-    level give 1.  Endpoints above the level are the caller's crossing case
-    and are rejected.  An eps^2 h that underflows to 0 is treated as eps = 0.
+    exp(-2 (level - x1)(level - x2) / (eps^2 h)), by the formula the
+    engine's bridge test calls (_bridge_probability); endpoints exactly at
+    the level give 1.  Endpoints above the level are the caller's crossing
+    case and are rejected.  An eps^2 h that underflows to 0 is treated as
+    eps = 0.
     """
     if x1 > level or x2 > level:
         raise DomainError("crossing_probability: endpoint above the level is a crossing")
     if h <= 0:
         raise DomainError(f"crossing_probability: h={h!r} must be > 0")
+    if x1 == level or x2 == level:
+        return 1.0
     var = eps * eps * h
     if var == 0.0:
-        return 1.0 if (x1 == level or x2 == level) else 0.0
-    return math.exp(-2.0 * (level - x1) * (level - x2) / var)
+        return 0.0
+    return float(_bridge_probability(-(2.0 / var), level - x1, level - x2))
+
+
+def _bridge_probability(neg_inv_var, gap1, gap2):
+    """Bridge crossing probability of steps with endpoint gaps below the level.
+
+    neg_inv_var is -2 / (eps^2 h).  Clamping the exponent at 0 gives 1 for
+    an endpoint crossing, which the engine flags on its own, and keeps exp
+    from overflowing.
+    """
+    return np.exp(np.minimum(neg_inv_var * gap1 * gap2, 0.0))
 
 
 @dataclass(frozen=True)
@@ -408,7 +427,6 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     x = np.full(B, float(x0))   # state at the current node of every ON replica
     on = np.ones(B, dtype=bool)
     tau_last = np.full(B, np.nan)
-    sig_pending = np.full(B, np.inf)
     # Passages in time order: replica rows, tau, grid step of the passage.
     ev_rows: list[np.ndarray] = []
     ev_tau: list[np.ndarray] = []
@@ -440,10 +458,8 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
             up = xb[1:] >= x_ref
             crossed = up
             if bridge:
-                # The exponent is <= 0 below the level; clamping it at 0 makes
-                # pb = 1 for endpoint crossings, which `up` already flags.
                 gap = x_ref - xb
-                pb = np.exp(np.minimum(neg_inv_var * gap[:-1] * gap[1:], 0.0))
+                pb = _bridge_probability(neg_inv_var, gap[:-1], gap[1:])
                 crossed = up | (uniforms[act, j0:j0 + L].T < pb)
             if record_paths:
                 # Values after a passage are replaced by the OFF fill when the
@@ -467,14 +483,14 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
             ev_step.append(base + j0 + jc)
             on[rows] = False
             tau_last[rows] = tv
-            sig_pending[rows] = np.floor(tv) + 1.0
             act, xa = act[~done], xb[L, ~done]
             j0 += L
         if act.size and W < spu:
             return None
         x[act] = xa
         node = float(k + 1)
-        restart = np.flatnonzero(~on & (sig_pending == node))
+        # A passage's restart is the next integer node (ReplicaSchedule.sigmas).
+        restart = np.flatnonzero(~on & (np.floor(tau_last) + 1.0 == node))
         if restart.size:
             on[restart] = True
             x[restart] = x_ref * np.exp(-a_off * (node - tau_last[restart]))

@@ -445,6 +445,21 @@ def test_retired_flags_are_gone(small_cfg, tmp_path, capsys, argv):
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "strobe", "simulate-det"])
+def test_seed_only_on_commands_that_draw(cfg_file, tmp_path, capsys, command):
+    # A command that draws nothing refuses --seed, while a config file
+    # shared with the commands that draw may hold `seed`.
+    assert {c for c, rows in COMMAND_SETTINGS.items() if any(s.key == "seed" for s in rows)} == {
+        "simulate-sde", "distance", "mc-sweep"}
+    assert "seed = 42" in P0_CONFIG
+    out = ["--config", cfg_file, "--out", str(tmp_path / "out"), "--quiet"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1"] + out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main([command] + out) == 0
+
+
 def test_horizon_zero_runs_for_simulate_sde(small_cfg, tmp_path):
     # An empty run of the engine is valid; only the distance needs a
     # deformation of [0, T] with T >= 1 (its bad setting is in BAD_SETTINGS).

@@ -48,6 +48,10 @@ def test_crossing_probability_examples():
     eps, h = 0.05, 0.01
     x = 1.0 - eps * math.sqrt(h)
     assert crossing_probability(x, x, 1.0, h, eps) == pytest.approx(math.exp(-2.0), abs=1e-12)
+    # Unequal gaps 0.002 and 0.005 pair into the exponent -2 (0.002)(0.005) / (eps^2 h).
+    assert crossing_probability(0.998, 0.995, 1.0, h, eps) == pytest.approx(math.exp(-0.8))
+    # An endpoint at the level gives 1 also where -2 / (eps^2 h) overflows.
+    assert crossing_probability(1.0, 0.5, 1.0, 1e-3, 1e-160) == 1.0
     with pytest.raises(DomainError):
         crossing_probability(1.1, 0.5, 1.0, 0.01, 0.05)
     assert crossing_probability(0.5, 0.6, 1.0, 0.01, 0.0) == 0.0
@@ -488,18 +492,75 @@ def test_bridge_test_emits_no_float_warnings(p0, dc0):
         assert all(len(s.taus) for s in res.schedules)
 
 
-@pytest.mark.parametrize("eps, dt", [(0.05, 1e-3), (0.3, 0.1), (1e-6, 1 / 7), (0.0, 1e-2)])
-def test_first_on_step_is_ou_step(p0, dc0, eps, dt):
-    # The engine's first ON step of replica k is the scalar exact OU step
-    # with the first normal of replica k's stream, bit for bit.
-    cfg = StochConfig(epsilon=eps, dt=dt, horizon=1, seed=13, stream=2)
-    h = 1.0 / cfg.steps_per_unit()
-    ids = [4, 0, 9]
-    res = simulate_batch(p0, dc0.x_star, cfg, ids, record_paths=True)
-    for b, k in enumerate(ids):
-        g = replica_generator(cfg.seed, k, cfg.stream).standard_normal()
-        assert not np.any(res.schedules[b].taus < h)  # no passage in the first step
-        assert res.xs[b, 1] == ou_step(p0, dc0.x_star, h, eps, g)
+def _replay(p, x0, cfg, res, b, replica) -> tuple[int, int]:
+    """Replay replica b of a batch with the scalar rules; (endpoint, bridge-only) passages.
+
+    The normal of step i is element i of the replica's stream and the
+    uniform of step i element n + i.  Each recorded ON step before a
+    passage is ou_step with its normal; the passage is the first step whose
+    end, recomputed with ou_step, reaches x_ref or whose uniform falls below
+    crossing_probability; tau is the interpolated crossing or the step's
+    midpoint; the next phase starts at node (floor(tau) + 1) spu from the
+    closed-form OFF decay.  Every comparison is exact.
+    """
+    spu = cfg.steps_per_unit()
+    n, h, eps, level = cfg.horizon * spu, 1.0 / spu, cfg.epsilon, p.x_ref
+    gen = replica_generator(cfg.seed, replica, cfg.stream)
+    z = gen.standard_normal(n) if eps > 0.0 else np.zeros(n)
+    u = gen.random(n) if cfg.bridge_correction and eps * eps * h > 0.0 else None
+    x, s, steps = res.xs[b], res.schedules[b], res.passage_steps[b]
+    assert x[0] == x0
+    kinds = [0, 0]
+    start = m = 0
+    while start < n:
+        for i in range(start, n):
+            x_next = ou_step(p, x[i], h, eps, z[i])
+            if x_next >= level:
+                tau = i / spu + h * ((level - x[i]) / max(x_next - x[i], 1e-300))
+                kinds[0] += 1
+                break
+            if u is not None and u[i] < crossing_probability(x[i], x_next, level, h, eps):
+                tau = i / spu + 0.5 * h
+                kinds[1] += 1
+                break
+            assert x[i + 1] == x_next, (b, i)
+        else:
+            # An ON phase begun before the horizon, still ON there.
+            assert s.partial_final_on and len(s.taus) == m, b
+            return kinds
+        assert s.taus[m] == tau and steps[m] == i, (b, m)
+        sigma = math.floor(tau) + 1.0
+        assert s.sigmas[m] == sigma
+        start, m = int(sigma) * spu, m + 1
+        if start <= n:
+            assert x[start] == level * np.exp(-p.alpha_off * (sigma - tau)), (b, m)
+    assert not s.partial_final_on and len(s.taus) == m, b
+    return kinds
+
+
+@pytest.mark.parametrize("kw, ids", [
+    pytest.param(dict(epsilon=0.05, dt=1e-3), [4, 0, 9], id="0.05-0.001"),
+    pytest.param(dict(epsilon=0.3, dt=0.1), [4, 0, 9], id="0.3-0.1"),
+    pytest.param(dict(epsilon=1e-6, dt=1 / 7), [4, 0, 9], id="1e-06-0.14285714285714285"),
+    pytest.param(dict(epsilon=0.0, dt=1e-2), [4, 0, 9], id="0.0-0.01"),
+    # Bridge-heavy: the batch of test_clock_spanning_phase_alone_reruns.
+    pytest.param(dict(epsilon=0.3, dt=1e-2, horizon=8, seed=11, stream=0), range(40),
+                 id="bridge-heavy"),
+])
+def test_engine_replays_every_on_step(p0, dc0, kw, ids):
+    # Every ON step, passage, tau and restart of whole batches, with the
+    # bridge test on and off, follows the scalar rules bit for bit (_replay).
+    for bridge in (True, False):
+        cfg = StochConfig(**{"horizon": 3, "seed": 13, "stream": 2, **kw,
+                             "bridge_correction": bridge})
+        res = simulate_batch(p0, dc0.x_star, cfg, ids, record_paths=True)
+        endpoint, bridge_only = np.sum([_replay(p0, dc0.x_star, cfg, res, b, k)
+                                        for b, k in enumerate(ids)], axis=0)
+        assert endpoint > 0
+        if not bridge:
+            assert bridge_only == 0
+        elif cfg.epsilon >= 0.05:
+            assert bridge_only > 0
 
 
 def test_schedule_modes_match_the_where_formula():
