@@ -15,8 +15,7 @@ from .montecarlo import (McConfig, McReport, bad_event_probs, distance_moment,
                          wilson_interval)
 from .params import (ConverterParams, DerivedConstants, ParamCheck, Violation,
                      border_point, derive_constants, validate_params)
-from .skorokhod import (DistanceBound, TimeDeformation, WarpedPath,
-                        align_schedules, skorokhod_bruteforce, skorokhod_uniform,
+from .skorokhod import (DistanceBound, TimeDeformation, align_schedules,
                         skorokhod_upper_bound)
 from .stochastic import (ReplicaSchedule, StochConfig, StochPath,
                          crossing_probability, ou_step, replica_generator,
@@ -35,9 +34,7 @@ __all__ = [
     "StochConfig", "StochPath", "ReplicaSchedule",
     "ou_step", "crossing_probability", "simulate_stoch", "simulate_batch",
     "replica_generator",
-    "TimeDeformation", "DistanceBound", "WarpedPath",
-    "align_schedules", "skorokhod_upper_bound", "skorokhod_uniform",
-    "skorokhod_bruteforce",
+    "TimeDeformation", "DistanceBound", "align_schedules", "skorokhod_upper_bound",
     "McConfig", "McReport", "gaussian_tail", "gaussian_tail_bound",
     "wilson_interval", "bad_event_probs", "distance_moment", "sweep",
 ]

@@ -164,13 +164,13 @@ def _cmd_distance(s: SimpleNamespace) -> int:
     det = simulate_det(p, (dc.x_star, 1), cfg.horizon)
     stoch = simulate_stoch(p, (dc.x_star, 1), cfg, replica=s.replica)
     lam, method = deformation_for(det, stoch.schedule, float(cfg.horizon), try_align=True)
-    bnd = skorokhod_upper_bound(det, stoch, lam, method=method)
+    bnd = skorokhod_upper_bound(det, stoch, lam)
     out = _out_dir(s, required=True)
     atomic_write_text(out / "distance.csv",
                       csv_text(("gamma", "sup_r", "bound", "method"),
-                               [(bnd.gamma, bnd.sup_r, bnd.bound, bnd.method)]))
+                               [(bnd.gamma, bnd.sup_r, bnd.bound, method)]))
     _say(s, f"gamma={format_value(bnd.gamma)} sup_r={format_value(bnd.sup_r)} "
-            f"bound={format_value(bnd.bound)} method={bnd.method}")
+            f"bound={format_value(bnd.bound)} method={method}")
     return 0
 
 

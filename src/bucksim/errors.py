@@ -11,8 +11,9 @@ too: exceeding it is a configuration problem.
 # or the sample/evaluation points of one path.  A batch of B replicas over
 # n = T spu nodes holds B (T W + spu) doubles (stochastic._simulate_windows),
 # so with whole periods (W = spu) about 0.27 GB at the cap plus one period
-# per replica; reading xs builds B (n + 1) doubles more, and ys B (n + 1)
-# bytes.  Sweeps and simulate-sde split their replicas into batches under it.
+# per replica; reading one replica's path builds n + 1 doubles more, and ys
+# B (n + 1) bytes.  Sweeps and simulate-sde split their replicas into
+# batches under it.
 MAX_GRID_POINTS = 2 ** 25
 
 

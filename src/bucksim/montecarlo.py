@@ -234,7 +234,7 @@ def deformation_for(det: DetPath, sched: ReplicaSchedule, horizon: float,
                     try_align: bool) -> tuple[TimeDeformation, str]:
     """The schedule-aligning deformation when asked for and it exists, else the identity.
 
-    Returns the deformation and its method name for DistanceBound.
+    Returns the deformation and its method name, the label of the CLI's distance.csv.
     """
     lam = align_schedules(det.schedule, sched, horizon) if try_align else None
     if lam is None:
@@ -366,10 +366,10 @@ def _bad_event_table(dc: DerivedConstants, cfg: McConfig, eps: float,
 class MomentEstimate:
     """Estimate of E[d^p] for one noise level from per-replica distance bounds.
 
-    Its level, horizon and replica count are those of the level's BadEventTable.
+    Its level, horizon and replica count are those of the level's BadEventTable,
+    and its order is McConfig.p.
     """
 
-    p: float
     moment: float
     se: float
     mean_d: float
@@ -386,7 +386,7 @@ def _moment_estimate(tab: BadEventTable, p_order: float, d: np.ndarray) -> Momen
     if not (math.isfinite(moment) and math.isfinite(se)):
         raise DomainError(f"E[d^p] or its standard error overflows at p={p_order!r} "
                           f"(epsilon={tab.epsilon!r}); use a smaller p")
-    return MomentEstimate(p=p_order, moment=moment, se=se, mean_d=float(d.mean()),
+    return MomentEstimate(moment=moment, se=se, mean_d=float(d.mean()),
                           q90=float(np.quantile(d, 0.9)), q99=float(np.quantile(d, 0.99)))
 
 

@@ -10,8 +10,8 @@ continuous bijections lam of [0, T], of
 where distortion(lam) = sup_{s<t} |log((lam(t) - lam(s)) / (t - s))|.  The
 exact infimum is not computed here: every reported number is the bound
 of an explicit candidate deformation (identity, or the piecewise-linear
-alignment of switching schedules), plus a brute-force search over small
-candidate families that serves as a reference on small instances.  The
+alignment of switching schedules).  The brute-force reference that the
+tests compare these bounds against lives in tests/oracles.py.  The
 continuous part of the state mismatch is resolved on a grid (step
 GRID_STEP = 1e-3 by default), so a bound can fall short of the
 candidate's true value, by at most about 4-5 % on the reference sweeps.
@@ -33,8 +33,6 @@ piece slopes, and log is monotone.
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,38 +138,15 @@ class DistanceBound:
     gamma: float
     sup_r: float
     bound: float
-    method: str
-
-
-@dataclass(frozen=True)
-class WarpedPath:
-    """Time-reparameterized view of a base path: eval(q) = base.eval(warp(q))."""
-
-    base: object
-    warp: TimeDeformation
-
-    def __post_init__(self):
-        if abs(self.warp.horizon - self.base.horizon) > 1e-9:
-            raise DomainError("warp horizon must match the base path horizon")
-
-    @property
-    def horizon(self) -> float:
-        return self.base.horizon
-
-    @property
-    def jump_times(self) -> np.ndarray:
-        return np.sort(self.warp.inverse()(self.base.jump_times))
-
-    def eval(self, q):
-        qa = np.atleast_1d(np.asarray(q, dtype=float))
-        out = self.base.eval(np.clip(self.warp(qa), 0.0, self.base.horizon))
-        if np.isscalar(q) or np.asarray(q).ndim == 0:
-            return float(out[0][0]), int(out[1][0])
-        return out
 
 
 def distance_grid_nodes(horizon: float, grid_step: float = GRID_STEP) -> int:
-    """Nodes of the uniform distance grid over [0, horizon]; checked against the grid cap."""
+    """Nodes of the uniform distance grid over [0, horizon]; checked against the grid cap.
+
+    Raises DomainError unless grid_step is finite and positive.
+    """
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise DomainError(f"distance grid step {grid_step!r} must be finite and > 0")
     span = horizon / grid_step
     check_grid_size(span + 1, "distance evaluation grid", "use a shorter horizon")
     return max(1, int(math.ceil(span))) + 1
@@ -206,8 +181,8 @@ def _state_gaps(x1, y1, x2, y2) -> np.ndarray:
     return np.hypot(r, 1.0, out=r, where=y1 != y2)
 
 
-def skorokhod_upper_bound(z1, z2, lam: TimeDeformation, grid_step: float = GRID_STEP,
-                          method: str = "deformation") -> DistanceBound:
+def skorokhod_upper_bound(z1, z2, lam: TimeDeformation,
+                          grid_step: float = GRID_STEP) -> DistanceBound:
     """Distance bound from one explicit candidate deformation.
 
     Evaluation points: a uniform grid of the given step over [0, T], all
@@ -240,96 +215,4 @@ def skorokhod_upper_bound(z1, z2, lam: TimeDeformation, grid_step: float = GRID_
                            *z2.eval(np.clip(lam(jumps), 0.0, T))).max(initial=0.0)
     sup_r = float(np.maximum(on_grid, at_jumps))  # a NaN gap propagates
     gamma = lam.distortion()
-    return DistanceBound(gamma=gamma, sup_r=sup_r, bound=max(gamma, sup_r), method=method)
-
-
-def skorokhod_uniform(z1, z2, grid_step: float = GRID_STEP) -> DistanceBound:
-    """The uniform-metric bound (identity deformation)."""
-    return skorokhod_upper_bound(z1, z2, TimeDeformation.identity(z1.horizon),
-                                 grid_step=grid_step, method="identity")
-
-
-MAX_BRUTEFORCE_HORIZON = 3.0
-MAX_BRUTEFORCE_JUMPS = 4
-# The oracle's candidate images per jump, its distance grid step and its
-# rounds of coordinate descent.
-BRUTEFORCE_CANDIDATES = 9
-BRUTEFORCE_GRID_STEP = 2e-3
-BRUTEFORCE_REFINE_ROUNDS = 40
-
-
-def skorokhod_bruteforce(z1, z2) -> DistanceBound:
-    """Small-instance reference: minimize the bound over candidate deformations.
-
-    Candidate deformations keep knots at the jump times of z1 and scan a
-    grid of images around the corresponding jump times of z2 (the exact
-    correspondence included), then refine the best candidate by coordinate
-    descent.  The result is still an upper bound on the distance; it
-    converges toward the metric as the candidate family grows.  Refuses
-    horizons above 3 or more than 4 jumps per path; mismatched jump counts
-    fall back to the identity bound (a mode mismatch of size 1 is then
-    unavoidable under the candidate family).
-    """
-    T = z1.horizon
-    if abs(z2.horizon - T) > 1e-9:
-        raise DomainError("skorokhod_bruteforce: horizons must match")
-    a = np.asarray(z1.jump_times, dtype=float)
-    b = np.asarray(z2.jump_times, dtype=float)
-    if T > MAX_BRUTEFORCE_HORIZON + 1e-9 or max(len(a), len(b)) > MAX_BRUTEFORCE_JUMPS:
-        raise DomainError("skorokhod_bruteforce: instance too large for the oracle")
-    if len(a) != len(b) or len(a) == 0:
-        return skorokhod_uniform(z1, z2, grid_step=BRUTEFORCE_GRID_STEP)
-
-    def bound_for(images: np.ndarray) -> float:
-        lam = TimeDeformation(np.concatenate([[0.0], a, [T]]),
-                              np.concatenate([[0.0], images, [T]]))
-        return skorokhod_upper_bound(z1, z2, lam, grid_step=BRUTEFORCE_GRID_STEP).bound
-
-    fences = np.concatenate([[0.0], b, [T]])
-    spans = 0.45 * np.minimum(np.diff(fences)[:-1], np.diff(fences)[1:])
-    grids = []
-    for j in range(len(b)):
-        g = b[j] + spans[j] * np.linspace(-1.0, 1.0, BRUTEFORCE_CANDIDATES)
-        g = g[(g > 0.0) & (g < T)]
-        grids.append(np.unique(np.append(g, b[j])))
-
-    best_val = math.inf
-    best = None
-    for combo in itertools.product(*grids):
-        images = np.asarray(combo)
-        if np.any(np.diff(images) <= 0.0):
-            continue
-        val = bound_for(images)
-        key = (val, tuple(images))
-        if best is None or key < (best_val, tuple(best)):
-            best_val, best = val, images
-
-    # Coordinate descent around the best grid candidate.
-    step = float(spans.min()) / BRUTEFORCE_CANDIDATES
-    images = best.copy()
-    for _ in range(BRUTEFORCE_REFINE_ROUNDS):
-        improved = False
-        for j in range(len(images)):
-            for cand in (images[j] - step, images[j] + step):
-                trial = images.copy()
-                trial[j] = cand
-                full = np.concatenate([[0.0], trial, [T]])
-                if np.any(np.diff(full) <= 0.0):
-                    continue
-                val = bound_for(trial)
-                if val < best_val:
-                    best_val, images = val, trial
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-6:
-                break
-
-    lam = TimeDeformation(np.concatenate([[0.0], a, [T]]),
-                          np.concatenate([[0.0], images, [T]]))
-    out = skorokhod_upper_bound(z1, z2, lam, grid_step=BRUTEFORCE_GRID_STEP, method="bruteforce")
-    # identity is always admissible; never report worse than it
-    ident = skorokhod_uniform(z1, z2, grid_step=BRUTEFORCE_GRID_STEP)
-    if ident.bound < out.bound:
-        return dataclasses.replace(ident, method="bruteforce")
-    return out
+    return DistanceBound(gamma=gamma, sup_r=sup_r, bound=max(gamma, sup_r))

@@ -259,8 +259,8 @@ class BatchResult:
     A recorded path is kept as the x of each period's first W grid nodes
     after its start (window, replicas x periods x W, a view into the
     batch's store; see _simulate_windows).  path(b) fills in the rest, the
-    OFF stretches and restart nodes, in closed form when it is read; xs
-    and ys build every replica's grid samples the same way.
+    OFF stretches and restart nodes, in closed form when it is read; ys
+    derives every replica's grid modes from its schedule.
     """
 
     grid_t: np.ndarray
@@ -290,16 +290,6 @@ class BatchResult:
             idx = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
             x[idx] = p.x_ref * np.exp(-p.alpha_off * (self.grid_t[idx] - np.repeat(s.taus, lens)))
         return StochPath(t=self.grid_t, x=x, schedule=s, level=p.x_ref)
-
-    @cached_property
-    def xs(self) -> np.ndarray | None:
-        """Grid samples of x (replicas x grid nodes); None without paths."""
-        if self.window is None:
-            return None
-        xs = np.empty((len(self.schedules), len(self.grid_t)))
-        for b in range(len(xs)):
-            xs[b] = self.path(b).x
-        return xs
 
     @cached_property
     def ys(self) -> np.ndarray | None:

@@ -11,16 +11,15 @@ from contextlib import contextmanager
 import numpy as np
 
 from bucksim import (ConverterParams, McConfig, StochConfig, TimeDeformation,
-                     WarpedPath, align_schedules, bad_event_probs,
-                     border_point, derive_constants, distance_moment,
-                     find_fixed_point, gaussian_tail, gaussian_tail_bound,
-                     on_flow, ou_step, simulate_batch, simulate_det,
-                     skorokhod_bruteforce, skorokhod_uniform,
-                     skorokhod_upper_bound, strobe_map, sweep,
-                     validate_params)
+                     align_schedules, bad_event_probs, border_point,
+                     derive_constants, distance_moment, find_fixed_point,
+                     gaussian_tail, gaussian_tail_bound, on_flow, ou_step,
+                     simulate_batch, simulate_det, skorokhod_upper_bound,
+                     strobe_map, sweep, validate_params)
 from bucksim.deterministic import DetSchedule
 from bucksim.stochastic import ReplicaSchedule, ou_step_sd
 from conftest import P0
+from oracles import WarpedPath, skorokhod_bruteforce, skorokhod_uniform
 
 
 @contextmanager

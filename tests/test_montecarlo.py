@@ -281,8 +281,7 @@ def test_pool_sized_to_batches(p0, dc0, monkeypatch):
 def test_good_event_constructive_pieces(p0, dc0):
     # On good replicas with delta <= t_min / (4 T): the aligning deformation
     # obeys the distortion cap and matches the mode components everywhere.
-    from bucksim import (StochConfig, StochPath, align_schedules, simulate_batch,
-                         simulate_det)
+    from bucksim import StochConfig, align_schedules, simulate_batch, simulate_det
     T = 10
     eps = 0.003
     delta = eps ** 0.8
@@ -302,7 +301,7 @@ def test_good_event_constructive_pieces(p0, dc0):
         lam = align_schedules(det.schedule, sched, float(T))
         assert lam is not None
         assert lam.distortion() <= cap
-        z2 = StochPath(t=res.grid_t, x=res.xs[b], schedule=sched, level=p0.x_ref)
+        z2 = res.path(b)
         _, y_st = z2.eval(np.clip(lam(grid), 0.0, float(T)))
         assert np.array_equal(y_det, y_st)
     assert good >= 45  # nearly all replicas are good at this noise level

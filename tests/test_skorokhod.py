@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from bucksim import (DomainError, StochConfig, StochPath, TimeDeformation, WarpedPath,
+from bucksim import (DomainError, StochConfig, TimeDeformation,
                      align_schedules, simulate_batch, simulate_det, simulate_stoch,
-                     skorokhod_bruteforce, skorokhod_uniform, skorokhod_upper_bound)
+                     skorokhod_upper_bound)
 from bucksim import parallel, skorokhod
 from bucksim.deterministic import DetSchedule
 from bucksim.stochastic import ReplicaSchedule
+from oracles import (BRUTEFORCE_GRID_STEP, WarpedPath, skorokhod_bruteforce,
+                     skorokhod_uniform)
 
 
 def _det_schedule(dc0, T):
@@ -217,7 +219,7 @@ def test_bruteforce_mismatched_jump_counts_falls_back(p0, dc0):
     z1 = simulate_det(p0, (dc0.x_star, 1), 2)
     z2 = _ConstPath(dc0.x_star, horizon=2.0)
     bnd = skorokhod_bruteforce(z1, z2)
-    assert bnd.method == "identity"
+    assert bnd == skorokhod_uniform(z1, z2, grid_step=BRUTEFORCE_GRID_STEP)
     assert bnd.bound >= 1.0
 
 
@@ -299,8 +301,7 @@ def _check_bound_pin(p0, dc0, case):
     T = float(cfg.horizon)
     det = simulate_det(p0, (dc0.x_star, 1), cfg.horizon)
     res = simulate_batch(p0, dc0.x_star, cfg, range(replicas))
-    paths = [StochPath(t=res.grid_t, x=x, schedule=s, level=p0.x_ref)
-             for x, s in zip(res.xs, res.schedules)]
+    paths = [res.path(b) for b in range(replicas)]
     warp = TimeDeformation(np.array([0.0, T / 3, T]), np.array([0.0, T / 2, T]))
     bounds = []
     aligned = 0
@@ -367,3 +368,15 @@ def test_identity_deformation_maps_the_grid_onto_itself():
             grid = np.linspace(0.0, float(T), distance_grid_nodes(float(T), step))
             image = np.clip(lam(grid), 0.0, float(T))
             assert np.array_equal(image.view(np.uint64), grid.view(np.uint64))
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+def test_invalid_distance_grid_step_is_refused(p0, dc0, step):
+    # A non-positive or non-finite step has no grid: no 2-node grid, no
+    # division by zero and no grid-cap message.
+    from bucksim.skorokhod import distance_grid_nodes
+    with pytest.raises(DomainError, match="grid step"):
+        distance_grid_nodes(2.0, step)
+    z1 = simulate_det(p0, (dc0.x_star, 1), 2)
+    with pytest.raises(DomainError, match="grid step"):
+        skorokhod_upper_bound(z1, z1, TimeDeformation.identity(2.0), grid_step=step)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bucksim import (ConfigError, DomainError, StochConfig, StochPath, border_point,
+from bucksim import (ConfigError, DomainError, StochConfig, border_point,
                      crossing_probability, on_flow, on_hit_time, ou_step, parallel,
                      replica_generator, simulate_batch, simulate_det, simulate_stoch,
                      stochastic)
@@ -115,7 +115,7 @@ def test_batch_matches_single_runs(p0, dc0):
     res = simulate_batch(p0, dc0.x_star, cfg, [0, 1, 2], record_paths=True)
     for k in range(3):
         single = simulate_stoch(p0, (dc0.x_star, 1), cfg, replica=k)
-        assert np.array_equal(res.xs[k], single.x)
+        assert np.array_equal(res.path(k).x, single.x)
         assert np.array_equal(res.schedules[k].taus, single.schedule.taus)
 
 
@@ -243,14 +243,19 @@ def test_replica_generator_is_philox_counter_based():
 
 
 def _batch_digest(res) -> str:
-    """sha256 of every schedule (taus, sigmas, partial_final_on) and of xs, ys."""
+    """sha256 of every schedule (taus, sigmas, partial_final_on), then each path's x and ys.
+
+    The x of the paths in replica order are the bytes of the replicas x grid
+    nodes array that the digests were recorded from.
+    """
     h = hashlib.sha256()
     for s in res.schedules:
         h.update(s.taus.tobytes())
         h.update(s.sigmas.tobytes())
         h.update(bytes([s.partial_final_on]))
-    if res.xs is not None:
-        h.update(res.xs.tobytes())
+    if res.window is not None:
+        for b in range(len(res.schedules)):
+            h.update(res.path(b).x.tobytes())
         h.update(res.ys.tobytes())
     return h.hexdigest()
 
@@ -473,7 +478,7 @@ def test_clock_spanning_phase_alone_reruns(p0, dc0, monkeypatch):
 def test_path_accessor_needs_paths(p0, dc0):
     res = simulate_batch(p0, dc0.x_star, StochConfig(epsilon=0.05, horizon=2), range(2),
                          record_paths=False)
-    assert res.xs is None and res.ys is None
+    assert res.window is None and res.ys is None
     with pytest.raises(DomainError):
         res.path(0)
 
@@ -508,7 +513,7 @@ def _replay(p, x0, cfg, res, b, replica) -> tuple[int, int]:
     gen = replica_generator(cfg.seed, replica, cfg.stream)
     z = gen.standard_normal(n) if eps > 0.0 else np.zeros(n)
     u = gen.random(n) if cfg.bridge_correction and eps * eps * h > 0.0 else None
-    x, s, steps = res.xs[b], res.schedules[b], res.passage_steps[b]
+    x, s, steps = res.path(b).x, res.schedules[b], res.passage_steps[b]
     assert x[0] == x0
     kinds = [0, 0]
     start = m = 0
@@ -594,8 +599,9 @@ def test_passage_knots_match_np_insert(p0, dc0, kw):
     # before the first grid time not below it, at the level.
     cfg = StochConfig(**{"dt": 1e-3, **kw})
     res = simulate_batch(p0, dc0.x_star, cfg, range(40))
-    for x, s in zip(res.xs, res.schedules):
-        kt, kx = StochPath(t=res.grid_t, x=x, schedule=s, level=p0.x_ref)._knots
+    for b, s in enumerate(res.schedules):
+        path = res.path(b)
+        kt, kx = path._knots
         ins = np.searchsorted(res.grid_t, s.taus)
         assert np.array_equal(kt, np.insert(res.grid_t, ins, s.taus))
-        assert np.array_equal(kx, np.insert(x, ins, p0.x_ref))
+        assert np.array_equal(kx, np.insert(path.x, ins, p0.x_ref))
