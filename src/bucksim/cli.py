@@ -5,12 +5,16 @@ mc-sweep.  Each subcommand's flags are generated from its rows of
 configfile.COMMAND_SETTINGS; values come from an optional flat key-value
 config file, overridden by repeatable `--set key=value`, overridden by
 dedicated flags.  All randomness flows from the single `seed` setting.
+`main` resolves the settings, the ConverterParams, the validated run config
+and the --out directory (checked, never created) once, before any work;
+each `_cmd_*` does only its own.
 Exit codes: 0 ok, 2 config error, 3 domain error, 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -34,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                              "simulation and verification")
     ap.add_argument("--version", action="version", version=f"bucksim {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (_, help_text) in _COMMANDS.items():
+    for command, (*_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", metavar="PATH", help="flat key-value config file")
         sp.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
@@ -60,12 +64,16 @@ def _build(cls, s: SimpleNamespace):
                   if getattr(s, f.name, None) is not None})
 
 
-def _out_dir(s: SimpleNamespace, required: bool) -> Path | None:
-    if s.out is None:
+def _out_dir(out: str | None, required: bool) -> Path | None:
+    if out is None:
         if required:
             raise ConfigError("this subcommand writes files; pass --out DIR")
         return None
-    return Path(s.out)
+    path = Path(out)
+    for d in (path, *path.parents):
+        if os.path.exists(d) and not os.path.isdir(d):
+            raise ConfigError(f"--out {out}: {d} exists and is not a directory")
+    return path
 
 
 def _say(s: SimpleNamespace, msg: str) -> None:
@@ -73,8 +81,7 @@ def _say(s: SimpleNamespace, msg: str) -> None:
         print(msg)
 
 
-def _cmd_validate(s: SimpleNamespace) -> int:
-    p = _build(ConverterParams, s)
+def _cmd_validate(s: SimpleNamespace, p: ConverterParams, cfg: None, out: Path | None) -> int:
     check = validate_params(p)
     if not check.ok:
         for msg in check.input_errors:
@@ -87,33 +94,27 @@ def _cmd_validate(s: SimpleNamespace) -> int:
     lines = [f"{k} = {format_value(v)}" for k, v in dc.as_dict().items()]
     _say(s, "parameter check: ok")
     _say(s, "\n".join(lines))
-    out = _out_dir(s, required=False)
     if out is not None:
         atomic_write_text(out / "derived_constants.txt", "\n".join(lines) + "\n")
         write_json(out / "derived_constants.json", dc.as_dict())
     return 0
 
 
-def _cmd_strobe(s: SimpleNamespace) -> int:
-    p = _build(ConverterParams, s)
+def _cmd_strobe(s: SimpleNamespace, p: ConverterParams, cfg: None, out: Path | None) -> int:
     dc = derive_constants(p)
     x_star, fp = find_fixed_point(p)
     xs = iterate_map(p, s.x0, s.iters)
     _say(s, f"x_star = {format_value(x_star)}")
     _say(s, f"f_prime_at_star = {format_value(fp)}")
     _say(s, f"x_border = {format_value(dc.x_border)}")
-    out = _out_dir(s, required=False)
     if out is not None:
-        rows = [(i, x) for i, x in enumerate(xs)]
-        atomic_write_text(out / "cobweb.csv", csv_text(("iter", "x"), rows))
+        atomic_write_text(out / "cobweb.csv", csv_text(("iter", "x"), enumerate(xs)))
     return 0
 
 
-def _cmd_simulate_det(s: SimpleNamespace) -> int:
-    p = _build(ConverterParams, s)
+def _cmd_simulate_det(s: SimpleNamespace, p: ConverterParams, cfg: None, out: Path) -> int:
     x0 = s.x0 if s.x0 is not None else derive_constants(p).x_star
     path = simulate_det(p, (x0, s.y0), s.horizon)
-    out = _out_dir(s, required=True)
     t, x, y = sample_path(path, s.sample_step)
     atomic_write_text(out / "trajectory.csv", csv_text(("t", "x", "y"), zip(t, x, y)))
     sched = path.schedule
@@ -127,12 +128,8 @@ def _cmd_simulate_det(s: SimpleNamespace) -> int:
     return 0
 
 
-def _cmd_simulate_sde(s: SimpleNamespace) -> int:
-    p = _build(ConverterParams, s)
+def _cmd_simulate_sde(s: SimpleNamespace, p: ConverterParams, cfg: StochConfig, out: Path) -> int:
     dc = derive_constants(p)
-    cfg = _build(StochConfig, s)
-    cfg.validate()
-    out = _out_dir(s, required=True)
     rows = []
     anomalies = 0
     # Batches of the default sweep size, split under the grid cap; every
@@ -155,17 +152,13 @@ def _cmd_simulate_sde(s: SimpleNamespace) -> int:
     return 0
 
 
-def _cmd_distance(s: SimpleNamespace) -> int:
-    p = _build(ConverterParams, s)
+def _cmd_distance(s: SimpleNamespace, p: ConverterParams, cfg: StochConfig, out: Path) -> int:
     dc = derive_constants(p)
-    cfg = _build(StochConfig, s)
-    cfg.validate()
     distance_grid_nodes(float(cfg.horizon))  # refuse an over-cap grid before simulating
     det = simulate_det(p, (dc.x_star, 1), cfg.horizon)
     stoch = simulate_stoch(p, (dc.x_star, 1), cfg, replica=s.replica)
     lam, method = deformation_for(det, stoch.schedule, float(cfg.horizon), try_align=True)
     bnd = skorokhod_upper_bound(det, stoch, lam)
-    out = _out_dir(s, required=True)
     atomic_write_text(out / "distance.csv",
                       csv_text(("gamma", "sup_r", "bound", "method"),
                                [(bnd.gamma, bnd.sup_r, bnd.bound, method)]))
@@ -174,12 +167,10 @@ def _cmd_distance(s: SimpleNamespace) -> int:
     return 0
 
 
-def _cmd_mc_sweep(s: SimpleNamespace) -> int:
-    p = _build(ConverterParams, s)
+def _cmd_mc_sweep(s: SimpleNamespace, p: ConverterParams, cfg: McConfig, out: Path) -> int:
     dc = derive_constants(p)
-    report = sweep(p, dc, _build(McConfig, s))
+    report = sweep(p, dc, cfg)
     summary = report.summary()  # may still raise; no artifact is written then
-    out = _out_dir(s, required=True)
     atomic_write_text(out / "report.csv", report.to_csv_text())
     write_json(out / "summary.json", summary)
     for row in summary["per_epsilon"]:
@@ -191,24 +182,31 @@ def _cmd_mc_sweep(s: SimpleNamespace) -> int:
     return 0
 
 
+# command: (run, its run config or None, whether it must write, help)
 _COMMANDS = {
-    "validate": (_cmd_validate,
+    "validate": (_cmd_validate, None, False,
                  "check parameter admissibility and print derived constants"),
-    "strobe": (_cmd_strobe, "stroboscopic map: fixed point, derivative, iterates"),
-    "simulate-det": (_cmd_simulate_det, "deterministic trajectory and switching schedule"),
-    "simulate-sde": (_cmd_simulate_sde,
+    "strobe": (_cmd_strobe, None, False, "stroboscopic map: fixed point, derivative, iterates"),
+    "simulate-det": (_cmd_simulate_det, None, True,
+                     "deterministic trajectory and switching schedule"),
+    "simulate-sde": (_cmd_simulate_sde, StochConfig, True,
                      "stochastic replicas: schedules and optional trajectories"),
-    "distance": (_cmd_distance, "path-distance bound: one replica vs the orbit"),
-    "mc-sweep": (_cmd_mc_sweep, "Monte Carlo sweep over a noise grid with bound checks"),
+    "distance": (_cmd_distance, StochConfig, True,
+                 "path-distance bound: one replica vs the orbit"),
+    "mc-sweep": (_cmd_mc_sweep, McConfig, True,
+                 "Monte Carlo sweep over a noise grid with bound checks"),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    run, _ = _COMMANDS[args.command]
+    run, config_cls, writes, _ = _COMMANDS[args.command]
     try:
-        return run(resolve(COMMAND_SETTINGS[args.command], args.config,
-                           args.overrides, vars(args)))
+        s = resolve(COMMAND_SETTINGS[args.command], args.config, args.overrides, vars(args))
+        cfg = None if config_cls is None else _build(config_cls, s)
+        if cfg is not None:
+            cfg.validate()
+        return run(s, _build(ConverterParams, s), cfg, _out_dir(s.out, writes))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

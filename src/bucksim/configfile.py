@@ -1,11 +1,12 @@
 """Run settings: one table of every setting, one resolver.
 
-Config files are plain text, one `key = value` assignment per line, with
-`#` comments and blank lines ignored.  Keys are namespaced with dotted
-prefixes (`sde.epsilon`, `mc.replicas`); model parameters live at the top
-level (`alpha_on`, `alpha_off`, `beta`, `x_ref`), as does `seed`, which
-only the commands that draw (simulate-sde, distance, mc-sweep) read.  Values
-use decimal notation.
+Config files are UTF-8 text, one `key = value` assignment per line, with
+`#` comments and blank lines ignored.  One reader serves the file's lines
+and the `--set` items; a malformed one is named `<file>:<n>` or
+`--set:<n>`.  Keys are namespaced with dotted prefixes (`sde.epsilon`,
+`mc.replicas`); model parameters live at the top level (`alpha_on`,
+`alpha_off`, `beta`, `x_ref`), as does `seed`, which only the commands that
+draw (simulate-sde, distance, mc-sweep) read.  Values use decimal notation.
 
 COMMAND_SETTINGS lists, per subcommand, one row per setting: its config key
 (or none), its command-line flag, the parser from text to value, a
@@ -32,9 +33,10 @@ _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
+def parse_assignments(lines: list[str], source: str) -> dict[str, str]:
+    """Config-file lines or `--set` items as a map; later lines win."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -47,28 +49,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: empty key or value in {raw!r}")
         values[key] = value
     return values
-
-
-def load_config(path: str | Path) -> dict[str, str]:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, source=str(path))
-
-
-def parse_overrides(overrides: list[str]) -> dict[str, str]:
-    """Repeatable `key=value` override strings as a map; later entries win."""
-    out = {}
-    for item in overrides:
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not sep or not key or not value:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        out[key] = value
-    return out
 
 
 def parse_bool(raw: str) -> bool:
@@ -197,8 +177,13 @@ def resolve(settings: tuple[Setting, ...], config_path: str | None,
     """
     layers = []
     if config_path is not None:
-        layers.append((f"config file {config_path}", load_config(config_path)))
-    layers.append(("--set", parse_overrides(overrides)))
+        try:
+            text = Path(config_path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
+        layers.append((f"config file {config_path}",
+                       parse_assignments(text.splitlines(), config_path)))
+    layers.append(("--set", parse_assignments(overrides, "--set")))
     for source, values in layers:
         for key in values:
             if key not in KNOWN_KEYS:

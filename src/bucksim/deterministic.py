@@ -68,7 +68,6 @@ class DetSchedule:
 
     on_to_off: np.ndarray
     off_to_on: np.ndarray
-    horizon: float
     start_on: float  # time the first ON phase begins (0.0, or 1.0 when y0 = 0)
 
     @property
@@ -175,7 +174,7 @@ def simulate_det(p: ConverterParams, z0: tuple[float, int], horizon: int) -> Det
 
     T = float(horizon)
     if horizon == 0:
-        sched = DetSchedule(np.empty(0), np.empty(0), T, 0.0 if y0 == MODE_ON else 1.0)
+        sched = DetSchedule(np.empty(0), np.empty(0), 0.0 if y0 == MODE_ON else 1.0)
         return DetPath(p, sched, np.array([0.0]), np.empty(0, dtype=int),
                        np.empty(0), (float(x0), int(y0)))
 
@@ -214,7 +213,7 @@ def simulate_det(p: ConverterParams, z0: tuple[float, int], horizon: int) -> Det
         if s_n == T:
             end_state = (cur_x, MODE_ON)
 
-    sched = DetSchedule(np.asarray(t_list), np.asarray(s_list), T, start_on)
+    sched = DetSchedule(np.asarray(t_list), np.asarray(s_list), start_on)
     boundaries = np.append(np.asarray(seg_start), T)
     return DetPath(p, sched, boundaries, np.asarray(seg_mode, dtype=int),
                    np.asarray(seg_ax), end_state)

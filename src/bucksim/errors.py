@@ -13,7 +13,8 @@ too: exceeding it is a configuration problem.
 # so with whole periods (W = spu) about 0.27 GB at the cap plus one period
 # per replica; reading one replica's path builds n + 1 doubles more, and ys
 # B (n + 1) bytes.  Sweeps and simulate-sde split their replicas into
-# batches under it.
+# batches under it.  The cap also bounds the iterates of the stroboscopic
+# map (strobe.iterate_map keeps one float per iterate).
 MAX_GRID_POINTS = 2 ** 25
 
 

@@ -3,17 +3,21 @@
 Floats are written with 17 significant digits so every value round-trips
 exactly, and JSON refuses non-finite floats; files are written to a
 temporary sibling and renamed into place so an interrupted run never leaves
-a truncated artifact at the declared path.
+a truncated artifact at the declared path.  A write that fails is a
+ConfigError (exit 2) naming the path.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import suppress
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def format_value(v) -> str:
@@ -35,10 +39,15 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        with suppress(OSError):
+            tmp.unlink()
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(path: str | Path, obj) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, check_grid_size
 from .params import PRECISION_LOSS, ConverterParams, border_point, require_valid
 
 BISECT_TOL = 1e-12
@@ -87,6 +87,7 @@ def find_fixed_point(p: ConverterParams) -> tuple[float, float]:
 
 def iterate_map(p: ConverterParams, x0: float, n: int) -> list[float]:
     """n forward iterates of the map from x0 (x0 included as entry 0)."""
+    check_grid_size(n + 1, "iterate_map: iterates", "use fewer iterates")
     xs = [x0]
     x = x0
     for _ in range(n):

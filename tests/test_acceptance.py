@@ -122,8 +122,7 @@ def test_criterion_7_time_deformation_distortion_cap():
         delta = dc.t_min / (4.0 * T)
         cap = 4.0 * T * delta / dc.t_min
         det = DetSchedule(on_to_off=np.arange(T) + dc.t_star,
-                          off_to_on=np.arange(1, T + 1, dtype=float),
-                          horizon=float(T), start_on=0.0)
+                          off_to_on=np.arange(1, T + 1, dtype=float), start_on=0.0)
         rng = np.random.default_rng(7)
         for _ in range(1000):
             taus = det.on_to_off + rng.uniform(-delta, delta, T)

@@ -99,6 +99,22 @@ def test_malformed_config_line(tmp_path):
     assert rc == 2
 
 
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"alpha_on = 0.5\xff\n")
+    rc = main(["validate", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: cannot read config file") and str(path) in err
+
+
+def test_set_items_read_like_config_lines(cfg_file, capsys):
+    # `#` starts a comment, and a malformed item is named by its position.
+    assert main(["validate", "--config", cfg_file, "--set", "beta=0.9 # breaks it"]) == 3
+    assert main(["validate", "--config", cfg_file, "--set", "beta=1.2", "--set", "beta"]) == 2
+    assert "--set:2: expected 'key = value'" in capsys.readouterr().err
+
+
 def test_flag_beats_set_beats_file(cfg_file, capsys):
     # file says 1.2; --set breaks it; the dedicated flag repairs it
     rc = main(["validate", "--config", cfg_file, "--set", "beta=0.9", "--beta", "1.2"])
@@ -153,6 +169,54 @@ def test_simulate_det_outputs(cfg_file, tmp_path):
 def test_simulate_det_requires_out(cfg_file):
     rc = main(["simulate-det", "--config", cfg_file, "--horizon", "2"])
     assert rc == 2
+
+
+WRITING_COMMANDS = ("simulate-det", "simulate-sde", "distance", "mc-sweep")
+BAD_OUTS = ([(c, "a file") for c in COMMAND_SETTINGS]
+            + [(c, "under a file") for c in COMMAND_SETTINGS]
+            + [(c, "none") for c in WRITING_COMMANDS])
+
+
+def _out_args(root, case):
+    """--out for a fresh directory, an existing file, a path under a file, or none."""
+    a_file = root / "a_file"
+    a_file.write_text("")
+    return {"fresh": ["--out", str(root / "out")], "a file": ["--out", str(a_file)],
+            "under a file": ["--out", str(a_file / "out")], "none": []}[case]
+
+
+@pytest.mark.parametrize("command,case", BAD_OUTS, ids=[f"{c}-{o}" for c, o in BAD_OUTS])
+def test_bad_out_exits_2_before_any_work(small_cfg, tmp_path, monkeypatch, capsys,
+                                         command, case):
+    # The output directory is checked before any command starts its work, and
+    # the check creates nothing.
+    calls = []
+
+    def no_work(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("sweep", "simulate_batch", "simulate_stoch", "simulate_det",
+                 "find_fixed_point", "validate_params"):
+        monkeypatch.setattr(cli, name, no_work)
+    rc = main([command, "--config", small_cfg, "--quiet"] + _out_args(tmp_path, case))
+    err = capsys.readouterr().err
+    assert rc == 2 and calls == []
+    assert err.startswith("config error:") and "--out" in err
+    assert sorted(os.listdir(tmp_path)) == ["a_file", "small.cfg"]
+
+
+def test_failed_artifact_write_is_config_error(cfg_file, tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "out"
+    rc = main(["validate", "--config", cfg_file, "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config error: cannot write {out / 'derived_constants.txt'}: ")
+    assert os.listdir(out) == []  # the temporary sibling is removed too
 
 
 def test_simulate_sde_outputs(cfg_file, tmp_path, monkeypatch):
@@ -406,6 +470,7 @@ BAD_SETTINGS = [
     (["mc-sweep", "--p", "nan"], "p="),
     (["simulate-sde", "--replicas", "-3"], "sde.replicas"),
     (["strobe", "--iters", "-3"], "--iters"),
+    (["strobe", "--iters", str(2**25)], "grid-size cap"),
     (["mc-sweep", "--set", "mc.replcas=5"], "mc.replcas"),
     # Retired settings: the distance grid step is fixed and T_eps is never capped.
     (["distance", "--set", "sde.grid_step=0.01"], "unknown config key 'sde.grid_step'"),
@@ -505,16 +570,18 @@ def fuzz_argv(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(argv=fuzz_argv())
-def test_fuzzed_settings_never_internal_error(tmp_path_factory, argv):
+@given(argv=fuzz_argv(), out=st.sampled_from(["fresh", "a file", "under a file", "none"]))
+def test_fuzzed_settings_never_internal_error(tmp_path_factory, argv, out):
     root = tmp_path_factory.mktemp("fuzz")
     cfg = root / "small.cfg"
     cfg.write_text(SMALL_CONFIG)
     try:
-        rc = main(argv + ["--config", str(cfg), "--out", str(root / "out")])
+        rc = main(argv + ["--config", str(cfg)] + _out_args(root, out))
     except SystemExit as exc:  # argparse rejects the command line itself
         rc = exc.code
     assert rc in (0, 2, 3)
+    if out in ("a file", "under a file") or (out == "none" and argv[0] in WRITING_COMMANDS):
+        assert rc == 2
 
 
 def test_quiet_suppresses_stdout(cfg_file, capsys):

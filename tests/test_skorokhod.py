@@ -17,7 +17,7 @@ from oracles import (BRUTEFORCE_GRID_STEP, WarpedPath, skorokhod_bruteforce,
 def _det_schedule(dc0, T):
     t = np.arange(T) + dc0.t_star
     s = np.arange(1, T + 1, dtype=float)
-    return DetSchedule(on_to_off=t, off_to_on=s, horizon=float(T), start_on=0.0)
+    return DetSchedule(on_to_off=t, off_to_on=s, start_on=0.0)
 
 
 def _stoch_schedule(taus, T):
