@@ -7,7 +7,7 @@ Monte Carlo verification of the Gaussian-tail and convergence bounds.
 
 __version__ = "0.1.0"
 
-from .deterministic import (DetPath, DetSchedule, off_flow, on_flow,
+from .deterministic import (DetPath, Schedule, off_flow, on_flow,
                             on_hit_time, sample_path, simulate_det)
 from .errors import BucksimError, ConfigError, DomainError, InvalidParamsError
 from .montecarlo import (McConfig, McReport, bad_event_probs, distance_moment,
@@ -17,9 +17,8 @@ from .params import (ConverterParams, DerivedConstants, ParamCheck, Violation,
                      border_point, derive_constants, validate_params)
 from .skorokhod import (DistanceBound, TimeDeformation, align_schedules,
                         skorokhod_upper_bound)
-from .stochastic import (ReplicaSchedule, StochConfig, StochPath,
-                         crossing_probability, ou_step, replica_generator,
-                         simulate_batch, simulate_stoch)
+from .stochastic import (StochConfig, StochPath, crossing_probability, ou_step,
+                         replica_generator, simulate_batch, simulate_stoch)
 from .strobe import (find_fixed_point, iterate_map, strobe_map,
                      strobe_map_derivative)
 
@@ -29,9 +28,9 @@ __all__ = [
     "ConverterParams", "DerivedConstants", "ParamCheck", "Violation",
     "validate_params", "derive_constants", "border_point",
     "strobe_map", "strobe_map_derivative", "find_fixed_point", "iterate_map",
-    "DetPath", "DetSchedule", "on_flow", "off_flow", "on_hit_time",
+    "DetPath", "Schedule", "on_flow", "off_flow", "on_hit_time",
     "simulate_det", "sample_path",
-    "StochConfig", "StochPath", "ReplicaSchedule",
+    "StochConfig", "StochPath",
     "ou_step", "crossing_probability", "simulate_stoch", "simulate_batch",
     "replica_generator",
     "TimeDeformation", "DistanceBound", "align_schedules", "skorokhod_upper_bound",

@@ -24,7 +24,7 @@ from . import __version__
 from .configfile import COMMAND_SETTINGS, parse_bool, resolve
 from .deterministic import sample_path, simulate_det
 from .errors import ConfigError, DomainError, batch_ranges
-from .montecarlo import McConfig, _has_anomaly, deformation_for, sweep
+from .montecarlo import McConfig, deformation_for, sweep
 from .output import atomic_write_text, csv_text, format_value, write_json
 from .params import ConverterParams, derive_constants, validate_params
 from .skorokhod import distance_grid_nodes, skorokhod_upper_bound
@@ -118,10 +118,9 @@ def _cmd_simulate_det(s: SimpleNamespace, p: ConverterParams, cfg: None, out: Pa
     t, x, y = sample_path(path, s.sample_step)
     atomic_write_text(out / "trajectory.csv", csv_text(("t", "x", "y"), zip(t, x, y)))
     sched = path.schedule
-    rows = []
-    for i, t_n in enumerate(sched.on_to_off):
-        s_n = sched.off_to_on[i] if i < len(sched.off_to_on) else float("nan")
-        rows.append((i + 1, t_n, s_n))
+    # A restart past the horizon, after a passage exactly at it, is written as nan.
+    rows = [(i + 1, t_n, s_n if s_n <= s.horizon else float("nan"))
+            for i, (t_n, s_n) in enumerate(zip(sched.taus, sched.sigmas))]
     atomic_write_text(out / "schedule.csv", csv_text(("n", "t_n", "s_n"), rows))
     _say(s, f"simulated {sched.cycles} cycles over [0, {s.horizon}]; "
             f"artifacts in {out}")
@@ -140,7 +139,7 @@ def _cmd_simulate_sde(s: SimpleNamespace, p: ConverterParams, cfg: StochConfig, 
         for b, (k, sched) in enumerate(zip(ids, res.schedules)):
             rows.extend((k, n + 1, tau, sigma)
                         for n, (tau, sigma) in enumerate(zip(sched.taus, sched.sigmas)))
-            anomalies += _has_anomaly(sched.taus, sched.sigmas)
+            anomalies += sched.anomaly
             if s.emit_paths:
                 path = res.path(b)
                 atomic_write_text(out / f"trajectory_{k}.csv",

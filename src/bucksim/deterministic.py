@@ -5,7 +5,10 @@ terminated when the state reaches x_ref) and OFF phases (exponential decay,
 terminated at the next integer clock time, strictly later than the switch).
 Both flows are elementary exponentials, so the path is represented
 symbolically as a list of anchored segments and can be evaluated at any time
-to machine precision; no integrator is involved.
+to machine precision; no integrator is involved.  Its switch times form a
+Schedule, the record the stochastic engine returns too: the passages are
+stored, and the restarts, ON-phase lengths, slow passages and jump times
+are derived from them by one rule.
 
 Conventions: the continuous component x is continuous across switches; the
 mode y is right-continuous (y = 0 at the instant the threshold is hit, y = 1
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,22 +61,44 @@ def on_hit_time(p: ConverterParams, x0: float) -> float:
 
 
 @dataclass(frozen=True)
-class DetSchedule:
-    """Switch times of a deterministic trajectory on [0, horizon].
+class Schedule:
+    """Switch times of a trajectory on [0, horizon], deterministic or stochastic.
 
-    on_to_off[n] is the n-th threshold hit, off_to_on[n] the integer clock
-    time that restarts the ON phase (strictly the next integer after the
-    hit).  off_to_on may be one element shorter than on_to_off when the
-    horizon truncates an OFF phase.
+    taus[n] is the n-th threshold passage; each restart sigmas[n] is the
+    integer clock time strictly after it, so the last one may lie past the
+    horizon (OFF phase truncated, or a passage exactly at the horizon).
+    partial_final_on marks an ON phase begun strictly before the horizon
+    that never crossed (its tau is absent).  The first ON phase begins at
+    start_on: 0.0, or 1.0 after an OFF start.
     """
 
-    on_to_off: np.ndarray
-    off_to_on: np.ndarray
-    start_on: float  # time the first ON phase begins (0.0, or 1.0 when y0 = 0)
+    taus: np.ndarray
+    partial_final_on: bool
+    start_on: float = 0.0
+
+    @cached_property
+    def sigmas(self) -> np.ndarray:
+        """Restart times: the strictly-next integer after each passage."""
+        return np.floor(self.taus) + 1.0
 
     @property
     def cycles(self) -> int:
-        return len(self.on_to_off)
+        return len(self.taus)
+
+    @property
+    def on_durations(self) -> np.ndarray:
+        """Length of each ON phase that ends in a passage."""
+        return self.taus - np.concatenate([[self.start_on], self.sigmas[:-1]])
+
+    @property
+    def anomaly(self) -> bool:
+        """True when an ON phase lasts at least 1, i.e. spans a clock pulse (slow passage)."""
+        return bool(np.any(self.on_durations >= 1.0))
+
+    def jump_times(self, horizon: float) -> np.ndarray:
+        """All mode-switch times strictly inside (0, horizon), sorted."""
+        t = np.concatenate([self.taus, self.sigmas, [self.start_on]])
+        return np.sort(t[(t > 0.0) & (t < horizon)])
 
 
 @dataclass(frozen=True)
@@ -87,7 +113,7 @@ class DetPath:
     """
 
     params: ConverterParams
-    schedule: DetSchedule
+    schedule: Schedule
     boundaries: np.ndarray    # segment starts + horizon, strictly increasing
     seg_mode: np.ndarray      # int, per segment
     seg_anchor_x: np.ndarray  # x at each segment start
@@ -104,11 +130,7 @@ class DetPath:
     @property
     def jump_times(self) -> np.ndarray:
         """All mode-switch times strictly inside (0, horizon)."""
-        t = np.concatenate([self.schedule.on_to_off, self.schedule.off_to_on])
-        if self.schedule.start_on > 0.0:
-            t = np.append(t, self.schedule.start_on)
-        t = t[(t > 0.0) & (t < self.horizon)]
-        return np.sort(t)
+        return self.schedule.jump_times(self.horizon)
 
     def eval(self, t) -> tuple[np.ndarray, np.ndarray]:
         """State (x, y) at time(s) t in [0, horizon]; y right-continuous."""
@@ -165,7 +187,6 @@ def simulate_det(p: ConverterParams, z0: tuple[float, int], horizon: int) -> Det
     seg_mode: list[int] = []
     seg_ax: list[float] = []
     t_list: list[float] = []
-    s_list: list[float] = []
 
     def add_segment(start: float, mode: int, anchor_x: float) -> None:
         seg_start.append(start)
@@ -174,13 +195,14 @@ def simulate_det(p: ConverterParams, z0: tuple[float, int], horizon: int) -> Det
 
     T = float(horizon)
     if horizon == 0:
-        sched = DetSchedule(np.empty(0), np.empty(0), 0.0 if y0 == MODE_ON else 1.0)
+        sched = Schedule(np.empty(0), False, 0.0 if y0 == MODE_ON else 1.0)
         return DetPath(p, sched, np.array([0.0]), np.empty(0, dtype=int),
                        np.empty(0), (float(x0), int(y0)))
 
     start_on = 0.0
     cur_t = 0.0
     cur_x = float(x0)
+    partial = False
     end_state: tuple[float, int] | None = None
     if y0 == MODE_OFF:
         # Decay from x0 until the first clock pulse at t = 1.
@@ -192,28 +214,24 @@ def simulate_det(p: ConverterParams, z0: tuple[float, int], horizon: int) -> Det
             end_state = (cur_x, MODE_ON)
 
     while end_state is None:
-        hit = on_hit_time(p, cur_x)
-        t_n = cur_t + hit
-        if t_n >= T:
-            add_segment(cur_t, MODE_ON, cur_x)
-            if t_n == T:
-                # Threshold reached exactly at the horizon: switch, then stop.
-                t_list.append(t_n)
-                end_state = (p.x_ref, MODE_OFF)
-            else:
-                end_state = (on_flow(p, cur_x, T - cur_t), MODE_ON)
-            break
+        t_n = cur_t + on_hit_time(p, cur_x)
         add_segment(cur_t, MODE_ON, cur_x)
+        if t_n > T:
+            partial = True
+            end_state = (on_flow(p, cur_x, T - cur_t), MODE_ON)
+            break
         t_list.append(t_n)
-        s_n = math.floor(t_n) + 1.0  # strictly next integer, also for integer t_n
+        if t_n == T:
+            # Threshold reached exactly at the horizon: switch, then stop.
+            end_state = (p.x_ref, MODE_OFF)
+            break
         add_segment(t_n, MODE_OFF, p.x_ref)
-        s_list.append(s_n)
-        cur_t = s_n
-        cur_x = off_flow(p, s_n - t_n)
-        if s_n == T:
+        cur_t = math.floor(t_n) + 1.0  # the restart, Schedule.sigmas
+        cur_x = off_flow(p, cur_t - t_n)
+        if cur_t == T:
             end_state = (cur_x, MODE_ON)
 
-    sched = DetSchedule(np.asarray(t_list), np.asarray(s_list), start_on)
+    sched = Schedule(np.asarray(t_list), partial, start_on)
     boundaries = np.append(np.asarray(seg_start), T)
     return DetPath(p, sched, boundaries, np.asarray(seg_mode, dtype=int),
                    np.asarray(seg_ax), end_state)

@@ -33,13 +33,13 @@ from functools import partial
 import numpy as np
 
 from . import parallel
-from .deterministic import DetPath, simulate_det
+from .deterministic import DetPath, Schedule, simulate_det
 from .errors import ConfigError, DomainError, batch_ranges, check_grid_size
 from .output import csv_text
 from .params import ConverterParams, DerivedConstants
 from .skorokhod import (TimeDeformation, align_schedules, distance_grid_nodes,
                         skorokhod_upper_bound)
-from .stochastic import ReplicaSchedule, StochConfig, simulate_batch
+from .stochastic import StochConfig, simulate_batch
 
 SQRT2 = math.sqrt(2.0)
 TAIL_BOUND_COEFF = 3.0 / math.sqrt(2.0 * math.pi)
@@ -165,12 +165,10 @@ class McConfig:
         check_grid_size(self.frak_t, "frak_t")
         if not (math.isfinite(self.p) and self.p >= 1.0):
             raise ConfigError(f"p={self.p!r} must be finite and >= 1")
-        if self.replicas < 1:
-            raise ConfigError(f"replicas={self.replicas!r} must be >= 1")
-        if self.workers < 1:
-            raise ConfigError(f"workers={self.workers!r} must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size={self.batch_size!r} must be >= 1")
+        for name in ("replicas", "workers", "batch_size"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, np.integer)) and v >= 1):
+                raise ConfigError(f"{name}={v!r} must be an integer >= 1")
         # Delegate the dt and seed checks, and fail before any work when one
         # replica's grid at some eps exceeds the cap (larger batches are split
         # in _replica_tallies).  eps = 0 simulates nothing, but its per-cycle
@@ -222,15 +220,7 @@ def _first_bad_cycle(det_t: np.ndarray, taus: np.ndarray, delta: float,
     return 0, 0
 
 
-def _has_anomaly(taus: np.ndarray, sigmas: np.ndarray) -> bool:
-    """True when any ON phase spans a clock pulse (slow passage)."""
-    if len(taus) == 0:
-        return False
-    starts = np.concatenate([[0.0], sigmas[:-1]])
-    return bool(np.any(taus - starts >= 1.0))
-
-
-def deformation_for(det: DetPath, sched: ReplicaSchedule, horizon: float,
+def deformation_for(det: DetPath, sched: Schedule, horizon: float,
                     try_align: bool) -> tuple[TimeDeformation, str]:
     """The schedule-aligning deformation when asked for and it exists, else the identity.
 
@@ -252,7 +242,7 @@ def _ensemble_batch(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
     scfg = cfg.stoch_config(eps)
     res = simulate_batch(p, dc.x_star, scfg, list(ids), record_paths=want_distance)
     det = simulate_det(p, (dc.x_star, 1), t_eps)
-    det_t = det.schedule.on_to_off
+    det_t = det.schedule.taus
     B = len(res.schedules)
     first_bad = np.zeros(B, dtype=int)
     bad_sign = np.zeros(B, dtype=int)
@@ -260,7 +250,7 @@ def _ensemble_batch(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
     d_bound = np.zeros(B)
     for b, sched in enumerate(res.schedules):
         first_bad[b], bad_sign[b] = _first_bad_cycle(det_t, sched.taus, delta, t_eps)
-        anomaly[b] = _has_anomaly(sched.taus, sched.sigmas)
+        anomaly[b] = sched.anomaly
         if want_distance:
             lam, _ = deformation_for(det, sched, float(t_eps), first_bad[b] == 0)
             d_bound[b] = skorokhod_upper_bound(det, res.path(b), lam).bound

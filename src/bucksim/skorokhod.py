@@ -10,11 +10,11 @@ continuous bijections lam of [0, T], of
 where distortion(lam) = sup_{s<t} |log((lam(t) - lam(s)) / (t - s))|.  The
 exact infimum is not computed here: every reported number is the bound
 of an explicit candidate deformation (identity, or the piecewise-linear
-alignment of switching schedules).  The brute-force reference that the
-tests compare these bounds against lives in tests/oracles.py.  The
-continuous part of the state mismatch is resolved on a grid (step
-GRID_STEP = 1e-3 by default), so a bound can fall short of the
-candidate's true value, by at most about 4-5 % on the reference sweeps.
+alignment of two switching Schedules, align_schedules).  The brute-force
+reference that the tests compare these bounds against lives in
+tests/oracles.py.  The continuous part of the state mismatch is resolved
+on a grid (step GRID_STEP = 1e-3 by default), so a bound can fall short of
+the candidate's true value, by at most about 4-5 % on the reference sweeps.
 
 A bound evaluates the second path at the deformed grid and at the jump
 points, and the first path only at the preimages of the second path's
@@ -39,9 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .deterministic import DetPath, DetSchedule
+from .deterministic import DetPath, Schedule
 from .errors import DomainError, check_grid_size
-from .stochastic import ReplicaSchedule
 
 # The grid part of a bound is split across threads in parts of at least
 # this many points: shorter parts lose more to handing the interpreter lock
@@ -93,30 +92,27 @@ class TimeDeformation:
         return float(np.abs(np.log(self.slopes())).max())
 
 
-def align_schedules(det: DetSchedule, stoch: ReplicaSchedule,
+def align_schedules(det: Schedule, stoch: Schedule,
                     horizon: float) -> TimeDeformation | None:
     """The schedule-matching deformation, or None when it does not exist.
 
     Sends each deterministic switch pair (t_n, s_n) to the stochastic pair
-    (tau_n, sigma_n), linearly in between, provided both schedules consist
-    of the same number of complete cycles on [0, horizon] and the integer
-    restart times agree (sigma_n == s_n, with the last one equal to the
-    horizon).  Outside that case there is no jump-aligning deformation of
+    (tau_n, sigma_n), linearly in between, provided both schedules start ON
+    at 0, neither ends in a partial ON phase, they have the same number of
+    cycles, the restart times agree (sigma_n == s_n) and the last one is the
+    horizon.  Outside that case there is no jump-aligning deformation of
     this form and the caller falls back to the identity.
     """
-    n_det = len(det.on_to_off)
-    if (det.start_on != 0.0 or stoch.partial_final_on
-            or len(det.off_to_on) != n_det or len(stoch.taus) != n_det):
+    n = det.cycles
+    if (n == 0 or stoch.cycles != n or det.start_on != 0.0 or stoch.start_on != 0.0
+            or det.partial_final_on or stoch.partial_final_on
+            or det.sigmas[-1] != horizon or not np.array_equal(det.sigmas, stoch.sigmas)):
         return None
-    if n_det == 0:
-        return TimeDeformation.identity(horizon) if horizon > 0 else None
-    if det.off_to_on[-1] != horizon or not np.array_equal(det.off_to_on, stoch.sigmas):
-        return None
-    kt = np.empty(2 * n_det + 1)
-    kv = np.empty(2 * n_det + 1)
+    kt = np.empty(2 * n + 1)
+    kv = np.empty(2 * n + 1)
     kt[0] = kv[0] = 0.0
-    kt[1::2] = det.on_to_off
-    kt[2::2] = det.off_to_on
+    kt[1::2] = det.taus
+    kt[2::2] = det.sigmas
     kv[1::2] = stoch.taus
     kv[2::2] = stoch.sigmas
     if not (np.all(np.diff(kt) > 0) and np.all(np.diff(kv) > 0)):

@@ -11,7 +11,7 @@ steps.  The OFF state is deterministic decay and is evaluated closed-form;
 its grid samples exist only for output.  Each rule has one formula: the
 engine's ON step makes ou_step's operations in ou_step's order, its bridge
 test calls the function crossing_probability calls, and its restarts follow
-ReplicaSchedule.sigmas, so the scalars are the rules the engine runs.
+Schedule.sigmas, so the scalars are the rules the engine runs.
 
 A batch runs one clock period at a time: in [k, k + 1] only the replicas
 ON at node k are stepped, in blocks whose scratch is bounded independent
@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from . import parallel
-from .deterministic import MODE_ON, off_flow, on_flow, on_hit_time
+from .deterministic import MODE_ON, Schedule, on_flow, simulate_det
 from .errors import ConfigError, DomainError, check_grid_size
 from .params import ConverterParams, derive_constants, mistiming_sd, require_valid
 
@@ -157,35 +157,12 @@ def replica_generator(seed: int, replica: int, stream: int = 0) -> np.random.Gen
 
 
 @dataclass(frozen=True)
-class ReplicaSchedule:
-    """Switching times of one stochastic replica.
-
-    taus[n] is the n-th threshold passage, sigmas[n] the restart after it.
-    The final sigma may exceed the horizon (OFF phase truncated);
-    partial_final_on marks an ON phase begun strictly before the horizon
-    that never crossed (its tau is absent).
-    """
-
-    taus: np.ndarray
-    partial_final_on: bool
-
-    @cached_property
-    def sigmas(self) -> np.ndarray:
-        """Restart times: the strictly-next integer after each passage."""
-        return np.floor(self.taus) + 1.0
-
-    @property
-    def cycles(self) -> int:
-        return len(self.taus)
-
-
-@dataclass(frozen=True)
 class StochPath:
     """One simulated replica: grid samples of x plus its switching schedule."""
 
     t: np.ndarray
     x: np.ndarray
-    schedule: ReplicaSchedule
+    schedule: Schedule
     level: float  # threshold the path was clamped to at passages (x_ref)
 
     @property
@@ -199,10 +176,7 @@ class StochPath:
 
     @property
     def jump_times(self) -> np.ndarray:
-        s = self.schedule
-        times = np.concatenate([s.taus, s.sigmas])
-        times = times[(times > 0.0) & (times < self.horizon)]
-        return np.sort(times)
+        return self.schedule.jump_times(self.horizon)
 
     @cached_property
     def _knots(self) -> tuple[np.ndarray, np.ndarray]:
@@ -264,7 +238,7 @@ class BatchResult:
     """
 
     grid_t: np.ndarray
-    schedules: list[ReplicaSchedule]
+    schedules: list[Schedule]
     params: ConverterParams
     x0: float
     window: np.ndarray | None            # None without paths
@@ -306,19 +280,18 @@ def window_steps(p: ConverterParams, x0: float, cfg: StochConfig) -> int:
     """Grid steps W per period in which every ON phase of a batch is expected to pass.
 
     W = min(spu, ceil(spu (d_max + WINDOW_SDS eps s_inf)) + 1): d_max is the
-    longest deterministic ON phase over the horizon from x0 and s_inf the
-    linear-response sd of a passage's mistiming (params.mistiming_sd).  A
-    deterministic phase that spans a clock pulse gives W = spu.
+    longest ON phase of the deterministic path over the horizon from (x0, ON)
+    and s_inf the linear-response sd of a passage's mistiming
+    (params.mistiming_sd).  A deterministic phase that spans a clock pulse
+    or runs past the horizon gives W = spu.  W sets only the batch's memory
+    and whether it reruns, never its bytes.
     """
     spu = cfg.steps_per_unit()
-    d_max, x = 0.0, x0
-    for _ in range(int(cfg.horizon)):
-        d = on_hit_time(p, x)
-        if d >= 1.0:
-            return spu
-        d_max = max(d_max, d)
-        x = off_flow(p, 1.0 - d)
-    reach = d_max + WINDOW_SDS * cfg.epsilon * mistiming_sd(p, derive_constants(p))
+    sched = simulate_det(p, (x0, MODE_ON), cfg.horizon).schedule
+    if sched.anomaly or sched.partial_final_on:
+        return spu
+    reach = (sched.on_durations.max(initial=0.0)
+             + WINDOW_SDS * cfg.epsilon * mistiming_sd(p, derive_constants(p)))
     return spu if reach >= 1.0 else min(spu, math.ceil(spu * reach) + 1)
 
 
@@ -479,7 +452,7 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
             return None
         x[act] = xa
         node = float(k + 1)
-        # A passage's restart is the next integer node (ReplicaSchedule.sigmas).
+        # A passage's restart is the next integer node (Schedule.sigmas).
         restart = np.flatnonzero(~on & (np.floor(tau_last) + 1.0 == node))
         if restart.size:
             on[restart] = True
@@ -494,7 +467,7 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     # A replica's last ON phase begins at its last restart, or at 0, and
     # has no passage; one begun before the horizon is still ON there.
     last_restart = [math.floor(t[-1]) + 1 if len(t) else 0 for t in taus]
-    schedules = [ReplicaSchedule(taus=t, partial_final_on=r < horizon)
+    schedules = [Schedule(taus=t, partial_final_on=r < horizon)
                  for t, r in zip(taus, last_restart)]
     # Without paths this frees the draws before grid_t; the window keeps the store.
     window = store[:, :win].reshape(B, horizon, W) if record_paths else None

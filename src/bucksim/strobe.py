@@ -24,14 +24,18 @@ BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
 
 
+def _require_domain(p: ConverterParams, x: float, caller: str) -> None:
+    if not 0.0 <= x <= p.x_ref:
+        raise DomainError(f"{caller}: x={x!r} outside [0, {p.x_ref}]")
+
+
 def strobe_map(p: ConverterParams, x: float) -> float:
     """One application of the stroboscopic map to x in [0, x_ref].
 
     At x == x_border the smooth-branch formula is used; both branches agree
     there (the value is exactly x_ref).
     """
-    if not 0.0 <= x <= p.x_ref:
-        raise DomainError(f"strobe_map: x={x!r} outside [0, {p.x_ref}]")
+    _require_domain(p, x, "strobe_map")
     m = p.equilibrium
     if x <= border_point(p):
         return m + (x - m) * math.exp(-p.alpha_on)
@@ -44,8 +48,7 @@ def strobe_map_derivative(p: ConverterParams, x: float) -> float:
     Smooth branch: constant e^{-alpha_on}.  Switching branch:
     -alpha_off * f(x) / (beta - alpha_on * x), negative throughout.
     """
-    if not 0.0 <= x <= p.x_ref:
-        raise DomainError(f"strobe_map_derivative: x={x!r} outside [0, {p.x_ref}]")
+    _require_domain(p, x, "strobe_map_derivative")
     xb = border_point(p)
     if x == xb:
         raise DomainError("strobe_map_derivative: derivative is discontinuous at x_border")
@@ -86,8 +89,12 @@ def find_fixed_point(p: ConverterParams) -> tuple[float, float]:
 
 
 def iterate_map(p: ConverterParams, x0: float, n: int) -> list[float]:
-    """n forward iterates of the map from x0 (x0 included as entry 0)."""
+    """n forward iterates of the map from x0 (x0 included as entry 0).
+
+    x0 outside [0, x_ref] is refused as strobe_map refuses it, also for n = 0.
+    """
     check_grid_size(n + 1, "iterate_map: iterates", "use fewer iterates")
+    _require_domain(p, x0, "strobe_map")
     xs = [x0]
     x = x0
     for _ in range(n):

@@ -16,8 +16,8 @@ from bucksim import (ConverterParams, McConfig, StochConfig, TimeDeformation,
                      gaussian_tail, gaussian_tail_bound, on_flow, ou_step,
                      simulate_batch, simulate_det, skorokhod_upper_bound,
                      strobe_map, sweep, validate_params)
-from bucksim.deterministic import DetSchedule
-from bucksim.stochastic import ReplicaSchedule, ou_step_sd
+from bucksim.deterministic import Schedule
+from bucksim.stochastic import ou_step_sd
 from conftest import P0
 from oracles import WarpedPath, skorokhod_bruteforce, skorokhod_uniform
 
@@ -70,10 +70,10 @@ def test_criterion_3_periodic_orbit():
         dc = derive_constants(P0)
         path = simulate_det(P0, (dc.x_star, 1), 100)
         s = path.schedule
-        assert len(s.on_to_off) == 100
+        assert len(s.taus) == 100
         n = np.arange(1, 101)
-        assert np.abs(s.on_to_off - (n - 1) - dc.t_star).max() <= 1e-9
-        assert np.array_equal(s.off_to_on, n.astype(float))
+        assert np.abs(s.taus - (n - 1) - dc.t_star).max() <= 1e-9
+        assert np.array_equal(s.sigmas, n.astype(float))
         t = np.arange(0.0, 99.0 + 1e-12, 1e-3)
         x1, _ = path.eval(t)
         x2, _ = path.eval(t + 1.0)
@@ -105,7 +105,7 @@ def test_criterion_5_zero_noise_degeneration():
         res = simulate_batch(P0, dc.x_star, cfg, [0], record_paths=False)
         taus = res.schedules[0].taus
         assert len(taus) == T
-        assert np.abs(taus - det.schedule.on_to_off).max() <= dt
+        assert np.abs(taus - det.schedule.taus).max() <= dt
 
 
 def test_criterion_6_gaussian_tail_bound():
@@ -121,12 +121,11 @@ def test_criterion_7_time_deformation_distortion_cap():
         T = 10
         delta = dc.t_min / (4.0 * T)
         cap = 4.0 * T * delta / dc.t_min
-        det = DetSchedule(on_to_off=np.arange(T) + dc.t_star,
-                          off_to_on=np.arange(1, T + 1, dtype=float), start_on=0.0)
+        det = Schedule(taus=np.arange(T) + dc.t_star, partial_final_on=False)
         rng = np.random.default_rng(7)
         for _ in range(1000):
-            taus = det.on_to_off + rng.uniform(-delta, delta, T)
-            stoch = ReplicaSchedule(taus=taus, partial_final_on=False)
+            taus = det.taus + rng.uniform(-delta, delta, T)
+            stoch = Schedule(taus=taus, partial_final_on=False)
             lam = align_schedules(det, stoch, float(T))
             assert lam is not None
             assert lam.distortion() <= cap

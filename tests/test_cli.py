@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bucksim import (ConverterParams, McConfig, StochConfig, derive_constants,
+from bucksim import (ConverterParams, McConfig, StochConfig, border_point, derive_constants,
                      simulate_batch, simulate_stoch)
 from bucksim import cli, errors, parallel, skorokhod, stochastic
 from bucksim.cli import main
@@ -164,6 +164,29 @@ def test_simulate_det_outputs(cfg_file, tmp_path):
     sched = (out / "schedule.csv").read_text().strip().split("\n")
     assert sched[0] == "n,t_n,s_n"
     assert len(sched) == 4  # header + 3 cycles
+
+
+def test_simulate_det_passage_at_the_horizon(cfg_file, tmp_path):
+    # From the border point the passage lands exactly on the horizon 1; its
+    # restart, at 2, lies past the horizon and is written as nan.
+    out = tmp_path / "det"
+    p = ConverterParams(alpha_on=0.5, alpha_off=0.6, beta=1.2, x_ref=1.0)
+    rc = main(["simulate-det", "--config", cfg_file, "--out", str(out), "--quiet",
+               "--x0", repr(border_point(p)), "--horizon", "1"])
+    assert rc == 0
+    assert (out / "schedule.csv").read_text() == "n,t_n,s_n\n1,1,nan\n"
+
+
+@pytest.mark.parametrize("x0", ["-1", "nan", "5"])
+def test_strobe_start_outside_domain_exits_3(cfg_file, tmp_path, capsys, x0):
+    # With no iterate to take as well: the start is written to the cobweb.
+    out = tmp_path / "strobe"
+    for iters in ("0", "1"):
+        rc = main(["strobe", "--config", cfg_file, "--out", str(out),
+                   "--x0", x0, "--iters", iters])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("domain error: strobe_map: x=")
+    assert not out.exists()
 
 
 def test_simulate_det_requires_out(cfg_file):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bucksim import (DomainError, border_point, off_flow, on_flow,
+from bucksim import (DomainError, align_schedules, border_point, off_flow, on_flow,
                      on_hit_time, sample_path, simulate_det, strobe_map)
 from conftest import T_STAR_P0, random_valid_params
 
@@ -44,17 +44,47 @@ def test_on_hit_time_examples(p0, dc0):
 def test_periodic_schedule(p0, dc0):
     path = simulate_det(p0, (dc0.x_star, 1), 5)
     s = path.schedule
-    assert len(s.on_to_off) == 5 and len(s.off_to_on) == 5
+    assert len(s.taus) == 5 and len(s.sigmas) == 5
     for n in range(1, 6):
-        assert s.on_to_off[n - 1] == pytest.approx(n - 1 + dc0.t_star, abs=1e-9)
-        assert s.off_to_on[n - 1] == float(n)
+        assert s.taus[n - 1] == pytest.approx(n - 1 + dc0.t_star, abs=1e-9)
+        assert s.sigmas[n - 1] == float(n)
 
 
 def test_boundary_orbit_spans_full_period(p0):
     path = simulate_det(p0, (border_point(p0), 1), 2)
     s = path.schedule
-    assert s.on_to_off[0] == pytest.approx(1.0, abs=1e-9)
-    assert s.off_to_on[0] == 2.0
+    assert s.taus[0] == pytest.approx(1.0, abs=1e-9)
+    assert s.sigmas[0] == 2.0
+
+
+def test_passage_exactly_at_the_horizon(p0):
+    # The ON phase from the border point lasts exactly one period, so its
+    # passage is the horizon 1 and its restart lies past it.
+    path = simulate_det(p0, (border_point(p0), 1), 1)
+    s = path.schedule
+    assert np.array_equal(s.taus, [1.0]) and np.array_equal(s.sigmas, [2.0])
+    assert not s.partial_final_on and s.anomaly
+    assert path.jump_times.size == 0
+    assert path.end_state == (p0.x_ref, 0)
+    assert align_schedules(s, s, 1.0) is None
+
+
+def test_path_and_schedule_agree():
+    # The segment starts inside (0, T) are the schedule's jump times, and a
+    # slow passage is an ON segment of length >= 1 that ends in a passage.
+    rng = np.random.default_rng(23)
+    for p in random_valid_params(rng, 20):
+        for z0 in [(float(rng.uniform(0.01, 0.99)) * p.x_ref, 1),
+                   (float(rng.uniform(0.01, 1.0)) * p.x_ref, 0)]:
+            for T in range(7):
+                path = simulate_det(p, z0, T)
+                s = path.schedule
+                assert np.array_equal(path.jump_times, path.boundaries[1:-1])
+                on_lengths = np.diff(path.boundaries)[path.seg_mode == 1]
+                if s.partial_final_on:
+                    on_lengths = on_lengths[:-1]
+                assert np.array_equal(s.on_durations, on_lengths)
+                assert s.anomaly == bool(np.any(on_lengths >= 1.0))
 
 
 def test_zero_horizon(p0, dc0):
@@ -82,7 +112,7 @@ def test_eval_basics(p0, dc0):
         x, y = path.eval(float(k))
         assert x == pytest.approx(dc0.x_star, abs=1e-9)
         assert y == 1
-    t1 = float(path.schedule.on_to_off[0])
+    t1 = float(path.schedule.taus[0])
     x, y = path.eval(t1)
     assert x == p0.x_ref and y == 0
     with pytest.raises(DomainError):
@@ -130,8 +160,8 @@ def test_continuity_at_switches(p0):
 def test_mode_occupancy_measure(p0, dc0):
     path = simulate_det(p0, (dc0.x_star, 1), 20)
     s = path.schedule
-    starts = np.concatenate([[s.start_on], s.off_to_on[:-1]])
-    on_total = float(np.sum(s.on_to_off - starts))
+    starts = np.concatenate([[s.start_on], s.sigmas[:-1]])
+    on_total = float(np.sum(s.taus - starts))
     seg_on = 0.0
     for i in range(len(path.seg_mode)):
         if path.seg_mode[i] == 1:
@@ -155,8 +185,8 @@ def test_on_phase_spanning_clock_pulse(p0):
     x0 = 0.5 * border_point(p0)
     path = simulate_det(p0, (x0, 1), 3)
     s = path.schedule
-    assert s.on_to_off[0] > 1.0
-    assert s.off_to_on[0] == math.floor(s.on_to_off[0]) + 1.0
+    assert s.taus[0] > 1.0
+    assert s.sigmas[0] == math.floor(s.taus[0]) + 1.0
     x, y = path.eval(1.0)
     assert y == 1  # still ON across the ignored pulse
 

@@ -104,7 +104,9 @@ def test_mcconfig_validation():
     for bad in (dict(epsilons=()), dict(p=math.nan), dict(dt=math.nan),
                 dict(seed=-1), dict(seed=1.5), dict(epsilons=(0.1, 0.1)),
                 dict(epsilons=(0.0, 0.05, -0.0)), dict(frak_t=MAX_GRID_POINTS + 1),
-                dict(frak_t=10 ** 320, nu=0.3)):
+                dict(frak_t=10 ** 320, nu=0.3), dict(replicas=4.0), dict(replicas=0),
+                dict(workers=2.5), dict(workers=0), dict(batch_size=8.0),
+                dict(batch_size=0)):
         with pytest.raises(ConfigError):
             McConfig(**{"epsilons": (0.1,), **bad}).validate()
     # T_eps = floor(2**25 / 1e9**0.6) = 133: frak_t itself is at the cap.
@@ -288,7 +290,7 @@ def test_good_event_constructive_pieces(p0, dc0):
     assert delta <= dc0.t_min / (4.0 * T)
     cap = 4.0 * T * delta / dc0.t_min
     det = simulate_det(p0, (dc0.x_star, 1), T)
-    det_t = det.schedule.on_to_off
+    det_t = det.schedule.taus
     cfg = StochConfig(epsilon=eps, dt=1e-3, horizon=T, seed=31)
     res = simulate_batch(p0, dc0.x_star, cfg, range(50), record_paths=True)
     grid = np.arange(0.0, float(T) + 1e-12, 1e-2)

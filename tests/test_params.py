@@ -109,7 +109,7 @@ def test_mistiming_sd_matches_the_engine(p0, dc0):
     # Empirical sd of (tau_n - t_n) / eps over 4000 replicas at eps 0.01,
     # within 4 standard errors (sd / sqrt(2 N)) of s_1 and s_2.
     eps, N = 0.01, 4000
-    det_t = simulate_det(p0, (dc0.x_star, 1), 2).schedule.on_to_off
+    det_t = simulate_det(p0, (dc0.x_star, 1), 2).schedule.taus
     res = simulate_batch(p0, dc0.x_star, StochConfig(epsilon=eps, horizon=2, seed=31),
                          range(N), record_paths=False)
     dev = np.array([s.taus for s in res.schedules]) - det_t

@@ -8,21 +8,18 @@ from bucksim import (DomainError, StochConfig, TimeDeformation,
                      align_schedules, simulate_batch, simulate_det, simulate_stoch,
                      skorokhod_upper_bound)
 from bucksim import parallel, skorokhod
-from bucksim.deterministic import DetSchedule
-from bucksim.stochastic import ReplicaSchedule
+from bucksim.deterministic import Schedule
 from oracles import (BRUTEFORCE_GRID_STEP, WarpedPath, skorokhod_bruteforce,
                      skorokhod_uniform)
 
 
 def _det_schedule(dc0, T):
-    t = np.arange(T) + dc0.t_star
-    s = np.arange(1, T + 1, dtype=float)
-    return DetSchedule(on_to_off=t, off_to_on=s, start_on=0.0)
+    return Schedule(taus=np.arange(T) + dc0.t_star, partial_final_on=False)
 
 
 def _stoch_schedule(taus, T):
     taus = np.asarray(taus, dtype=float)
-    return ReplicaSchedule(taus=taus, partial_final_on=False)
+    return Schedule(taus=taus, partial_final_on=False)
 
 
 def test_identity_deformation_zero_distortion():
@@ -71,7 +68,7 @@ def test_inverse_round_trip():
 
 def test_align_exact_schedules_gives_identity_distortion(dc0):
     det = _det_schedule(dc0, 5)
-    stoch = _stoch_schedule(det.on_to_off, 5)
+    stoch = _stoch_schedule(det.taus, 5)
     lam = align_schedules(det, stoch, 5.0)
     assert lam is not None
     assert lam.distortion() == pytest.approx(0.0, abs=1e-12)
@@ -95,8 +92,7 @@ def test_align_rejects_mismatches(dc0):
     bad = _stoch_schedule([dc0.t_star, 2.4, 2.7], 3)
     assert align_schedules(det, bad, 3.0) is None
     # partial final cycle
-    part = ReplicaSchedule(taus=np.array([dc0.t_star, 1.0 + dc0.t_star]),
-                           partial_final_on=True)
+    part = Schedule(taus=np.array([dc0.t_star, 1.0 + dc0.t_star]), partial_final_on=True)
     assert align_schedules(det, part, 3.0) is None
 
 
@@ -108,7 +104,7 @@ def test_align_distortion_lemma_bound(dc0):
     rng = np.random.default_rng(12)
     cap = 4.0 * T * delta / dc0.t_min
     for _ in range(1000):
-        taus = det.on_to_off + rng.uniform(-delta, delta, T)
+        taus = det.taus + rng.uniform(-delta, delta, T)
         lam = align_schedules(det, _stoch_schedule(taus, T), float(T))
         assert lam is not None
         assert lam.distortion() <= cap

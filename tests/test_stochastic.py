@@ -76,9 +76,9 @@ def test_zero_noise_schedule_matches_deterministic(p0, dc0):
     cfg = StochConfig(epsilon=0.0, dt=1e-3, horizon=T, seed=1)
     path = simulate_stoch(p0, (dc0.x_star, 1), cfg)
     assert len(path.schedule.taus) == T
-    dev = np.abs(path.schedule.taus - det.schedule.on_to_off)
+    dev = np.abs(path.schedule.taus - det.schedule.taus)
     assert dev.max() <= 1e-3
-    assert np.array_equal(path.schedule.sigmas, det.schedule.off_to_on)
+    assert np.array_equal(path.schedule.sigmas, det.schedule.sigmas)
 
 
 def test_zero_noise_pointwise_degeneration(p0, dc0):
@@ -224,7 +224,7 @@ def test_small_noise_passage_concentration(p0, dc0):
     # At eps = 0.01 nearly every replica keeps all ten passages within 0.05
     # of the deterministic ones (the tail bound makes the failure rate tiny).
     det = simulate_det(p0, (dc0.x_star, 1), 10)
-    det_t = det.schedule.on_to_off
+    det_t = det.schedule.taus
     cfg = StochConfig(epsilon=0.01, dt=1e-3, horizon=10, seed=2024)
     res = simulate_batch(p0, dc0.x_star, cfg, range(1000), record_paths=False)
     ok = 0

@@ -135,3 +135,12 @@ def test_iterate_map_includes_start(p0):
     assert len(xs) == 6
     assert xs[0] == 0.3
     assert xs[1] == strobe_map(p0, 0.3)
+
+
+@pytest.mark.parametrize("x0", [-1.0, math.nan, 5.0, -1e-300])
+@pytest.mark.parametrize("n", [0, 1])
+def test_iterate_map_refuses_start_outside_domain(p0, x0, n):
+    # Also with no iterate to take: the start is entry 0 of the cobweb.
+    with pytest.raises(DomainError, match=r"^strobe_map: x="):
+        iterate_map(p0, x0, n)
+
