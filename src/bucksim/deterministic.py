@@ -142,23 +142,29 @@ class DetPath:
             )
         x = np.empty_like(q)
         y = np.empty(q.shape, dtype=np.int8)
-        at_end = q == self.horizon
-        inner = ~at_end
-        if inner.any():
-            qi = q[inner]
-            idx = np.searchsorted(self.boundaries, qi, side="right") - 1
-            mode = self.seg_mode[idx]
-            at = self.boundaries[idx]
+        if len(self.seg_mode):
+            # Each query's segment; one at the horizon takes the end state below.
+            idx = np.searchsorted(self.boundaries[:-1], q, side="right") - 1
+            y[...] = self.seg_mode[idx]
+            dt = self.boundaries[idx]
+            np.subtract(q, dt, out=dt)
             ax = self.seg_anchor_x[idx]
+            del idx
+            # ON: m + (ax - m) exp(-alpha_on dt); OFF: ax exp(-alpha_off dt).
             p = self.params
             m = p.equilibrium
-            xon = m + (ax - m) * np.exp(-p.alpha_on * (qi - at))
-            xoff = ax * np.exp(-p.alpha_off * (qi - at))
-            x[inner] = np.where(mode == MODE_ON, xon, xoff)
-            y[inner] = mode
-        if at_end.any():
-            x[at_end] = self.end_state[0]
-            y[at_end] = self.end_state[1]
+            decay = np.multiply(dt, -p.alpha_off)
+            np.exp(decay, out=decay)
+            np.multiply(ax, decay, out=x)
+            np.multiply(dt, -p.alpha_on, out=decay)
+            np.exp(decay, out=decay)
+            np.subtract(ax, m, out=ax)
+            np.multiply(ax, decay, out=ax)
+            np.add(ax, m, out=ax)
+            np.copyto(x, ax, where=y == MODE_ON)
+        at_end = q == self.horizon
+        x[at_end] = self.end_state[0]
+        y[at_end] = self.end_state[1]
         if np.isscalar(t) or np.asarray(t).ndim == 0:
             return float(x[0]), int(y[0])
         return x, y

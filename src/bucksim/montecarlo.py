@@ -233,15 +233,16 @@ def deformation_for(det: DetPath, sched: Schedule, horizon: float,
 
 
 def _ensemble_batch(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
-                    eps: float, ids: range, want_distance: bool) -> tuple[np.ndarray, ...]:
+                    eps: float, det: DetPath, ids: range,
+                    want_distance: bool) -> tuple[np.ndarray, ...]:
     """Simulate one replica batch; per-replica (first_bad, bad_sign, anomaly, d_bound).
 
-    d_bound stays 0 unless want_distance.
+    det is the level's orbit from (x_star, ON) over T_eps, shared by every
+    batch with its grid memo.  d_bound stays 0 unless want_distance.
     """
     t_eps, delta = cfg.horizon_for(eps), cfg.delta_for(eps)
     scfg = cfg.stoch_config(eps)
     res = simulate_batch(p, dc.x_star, scfg, list(ids), record_paths=want_distance)
-    det = simulate_det(p, (dc.x_star, 1), t_eps)
     det_t = det.schedule.taus
     B = len(res.schedules)
     first_bad = np.zeros(B, dtype=int)
@@ -270,7 +271,8 @@ def _replica_tallies(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
     if want_distance:
         # Fail before the first batch, not in the first distance bound.
         distance_grid_nodes(float(scfg.horizon))
-    run = partial(_ensemble_batch, p, dc, cfg, eps, want_distance=want_distance)
+    det = simulate_det(p, (dc.x_star, 1), scfg.horizon)
+    run = partial(_ensemble_batch, p, dc, cfg, eps, det, want_distance=want_distance)
     # Bytes depend on neither the batch size nor the worker count, so a batch
     # over the grid cap is split and the pool never outnumbers the CPUs; each
     # worker process splits its array work over its share of them.

@@ -23,7 +23,10 @@ DetPath, the first path of every bound in a sweep.  The state metric is
 |dx| where the modes agree and hypot(|dx|, 1) where they differ, which is
 np.hypot(dx, dy) bit for bit (up to the sign bit of a NaN).  Long grids
 are split into contiguous parts on the process's threads; the maximum is
-exact, so no bound depends on the thread count.
+exact, so no bound depends on the thread count.  Each part walks its range
+CHUNK_POINTS points at a time, and the memo is filled the same way, so
+besides the path being bounded and the memo (both grid-length) a bound's
+scratch is about CHUNK_POINTS points per thread, whatever the horizon.
 
 For piecewise-linear lam the distortion equals max |log slope| over linear
 pieces: any chord slope is a convex combination (weighted by time
@@ -46,6 +49,9 @@ from .errors import DomainError, check_grid_size
 # this many points: shorter parts lose more to handing the interpreter lock
 # between threads than they gain.
 SPLIT_POINTS = 2 ** 14
+# Each part walks its grid CHUNK_POINTS points at a time, so a bound's
+# scratch does not grow with the horizon (a 10 001-point grid is one chunk).
+CHUNK_POINTS = 2 ** 14
 
 # Step of the uniform distance grid; the sweep and the CLI always use it.
 GRID_STEP = 1e-3
@@ -152,14 +158,19 @@ def _on_uniform_grid(z, grid_step: float) -> tuple[np.ndarray, ...]:
     """z on the uniform distance grid and at its own jump times in [0, T].
 
     Returns (grid, x, y, jump times, x, y); memoised on a DetPath, the z1
-    of every bound in a sweep.
+    of every bound in a sweep.  z.eval runs CHUNK_POINTS grid points at a
+    time into the memo's arrays, so its scratch does not grow with T.
     """
     memo = z.grid_memo if isinstance(z, DetPath) else {}
     if grid_step not in memo:
         grid = np.linspace(0.0, z.horizon, distance_grid_nodes(z.horizon, grid_step))
+        gx, gy = np.empty(len(grid)), np.empty(len(grid), dtype=np.int8)
+        for lo in range(0, len(grid), CHUNK_POINTS):
+            part = slice(lo, lo + CHUNK_POINTS)
+            gx[part], gy[part] = z.eval(grid[part])
         jumps = np.asarray(z.jump_times, dtype=float)
         jumps = jumps[(jumps >= 0.0) & (jumps <= z.horizon)]
-        memo[grid_step] = (grid, *z.eval(grid), jumps, *z.eval(jumps))
+        memo[grid_step] = (grid, gx, gy, jumps, *z.eval(jumps))
         for a in memo[grid_step]:
             a.setflags(write=False)  # shared by every later call
     return memo[grid_step]
@@ -187,8 +198,9 @@ def skorokhod_upper_bound(z1, z2, lam: TimeDeformation,
     twice, at the grid and at the jump points; z1 only at the preimages,
     the rest is memoised on a DetPath.  The grid part runs in parts of at
     least SPLIT_POINTS points on the process's threads, so z2.eval must be
-    safe to call from several threads at once; the parts' maxima are
-    combined with np.maximum, which keeps a NaN from any part.
+    safe to call from several threads at once; each part walks its range
+    CHUNK_POINTS points at a time.  The chunks' and the parts' maxima are
+    combined with np.maximum, which keeps a NaN from any of them.
     """
     T = z1.horizon
     if abs(z2.horizon - T) > 1e-9 or abs(lam.horizon - T) > 1e-9:
@@ -202,9 +214,13 @@ def skorokhod_upper_bound(z1, z2, lam: TimeDeformation,
     identity = len(lam.knots_t) == 2
 
     def grid_sup(lo: int, hi: int):
-        # A two-knot deformation is the identity: the grid is its own image.
-        q = grid[lo:hi] if identity else np.clip(lam(grid[lo:hi]), 0.0, T)
-        return _state_gaps(gx1[lo:hi], gy1[lo:hi], *z2.eval(q)).max()
+        sup = -np.inf
+        for a in range(lo, hi, CHUNK_POINTS):
+            b = min(a + CHUNK_POINTS, hi)
+            # A two-knot deformation is the identity: the grid is its own image.
+            q = grid[a:b] if identity else np.clip(lam(grid[a:b]), 0.0, T)
+            sup = np.maximum(sup, _state_gaps(gx1[a:b], gy1[a:b], *z2.eval(q)).max())
+        return sup
 
     on_grid = np.maximum.reduce(parallel.split(grid_sup, len(grid), SPLIT_POINTS))
     at_jumps = _state_gaps(np.concatenate([jx1, px1]), np.concatenate([jy1, py1]),

@@ -158,7 +158,11 @@ def replica_generator(seed: int, replica: int, stream: int = 0) -> np.random.Gen
 
 @dataclass(frozen=True)
 class StochPath:
-    """One simulated replica: grid samples of x plus its switching schedule."""
+    """One simulated replica: grid samples of x plus its switching schedule.
+
+    Between nodes x is linear, with each passage a knot at the level; eval
+    builds those knots around its queries only, never for the whole grid.
+    """
 
     t: np.ndarray
     x: np.ndarray
@@ -178,28 +182,47 @@ class StochPath:
     def jump_times(self) -> np.ndarray:
         return self.schedule.jump_times(self.horizon)
 
-    @cached_property
-    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
-        """(t, x) knots of the linear interpolant: the grid plus the passages, at the level."""
-        taus = self.schedule.taus
-        at = np.searchsorted(self.t, taus) + np.arange(len(taus))
-        on_grid = np.ones(len(self.t) + len(taus), dtype=bool)
-        on_grid[at] = False
-        kt, kx = np.empty(len(on_grid)), np.empty(len(on_grid))
-        kt[at], kx[at] = taus, self.level
-        kt[on_grid], kx[on_grid] = self.t, self.x
-        return kt, kx
-
     def eval(self, q) -> tuple[np.ndarray, np.ndarray]:
-        """State (x, y) at time(s) q; linear between knots, x exactly the level at passages."""
+        """State (x, y) at time(s) q; linear between knots, x exactly the level at passages.
+
+        The knots are the grid (t, x) with each passage (tau, level) inserted
+        before the first node not below it.  np.interp's value at a query
+        depends only on the two knots around it, so knots that keep the nodes
+        around every query and every passage give the doubles of the whole
+        array.  Queries as dense as the grid, such as a chunk of a distance
+        grid, take the nodes from the last one at or below the earliest query
+        to the first one above the latest; sparser ones, such as jump points,
+        the two nodes around each.  Either way the knots number at most about
+        twice the queries plus the passages, whatever the grid's length.
+        """
         qa = np.atleast_1d(np.asarray(q, dtype=float))
-        if qa.size and (qa.min() < 0.0 or qa.max() > self.horizon):
+        first, last = (qa.min(), qa.max()) if qa.size else (0.0, 0.0)
+        if first < 0.0 or last > self.horizon:
             raise DomainError(f"eval: time outside [0, {self.horizon}]")
-        x = np.interp(qa, *self._knots)
+        t, n = self.t, len(self.t) - 1
+        lo, hi = np.searchsorted(t, (first, last), side="right")
+        if hi - lo <= 2 * qa.size and not np.isnan(first):
+            nodes = slice(lo - 1, min(hi, n) + 1)
+        else:
+            above = np.searchsorted(t, qa.ravel(), side="right")
+            nodes = np.sort(np.concatenate([above - 1, np.minimum(above, n)]))
+            nodes = nodes[np.concatenate([[True], nodes[1:] != nodes[:-1]])]
+        x = self._interp(qa, nodes)
         y = schedule_modes(self.schedule.taus, self.schedule.sigmas, qa)
         if np.isscalar(q) or np.asarray(q).ndim == 0:
             return float(x[0]), int(y[0])
         return x, y
+
+    def _interp(self, q: np.ndarray, nodes) -> np.ndarray:
+        """np.interp at q on the given grid nodes with every passage inserted."""
+        t, taus = self.t[nodes], self.schedule.taus
+        at = np.searchsorted(t, taus) + np.arange(len(taus))
+        on_grid = np.ones(len(t) + len(taus), dtype=bool)
+        on_grid[at] = False
+        kt, kx = np.empty(len(on_grid)), np.empty(len(on_grid))
+        kt[at], kx[at] = taus, self.level
+        kt[on_grid], kx[on_grid] = t, self.x[nodes]
+        return np.interp(q, kt, kx)
 
 
 def schedule_modes(taus: np.ndarray, sigmas: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -233,8 +256,9 @@ class BatchResult:
     A recorded path is kept as the x of each period's first W grid nodes
     after its start (window, replicas x periods x W, a view into the
     batch's store; see _simulate_windows).  path(b) fills in the rest, the
-    OFF stretches and restart nodes, in closed form when it is read; ys
-    derives every replica's grid modes from its schedule.
+    OFF stretches and restart nodes, in closed form when it is read, in place
+    and stretch by stretch, so a read allocates only the path's n + 1
+    doubles; ys derives every replica's grid modes from its schedule.
     """
 
     grid_t: np.ndarray
@@ -258,11 +282,15 @@ class BatchResult:
         if len(s.taus):
             # x decays from the node after each passage up to and including
             # the restart node; a window never reaches past those nodes.
-            restart_nodes = s.sigmas.astype(np.int64) * (n // horizon)
-            start = self.passage_steps[b] + 1
-            lens = np.minimum(restart_nodes, n) + 1 - start
-            idx = np.arange(lens.sum()) + np.repeat(start - (np.cumsum(lens) - lens), lens)
-            x[idx] = p.x_ref * np.exp(-p.alpha_off * (self.grid_t[idx] - np.repeat(s.taus, lens)))
+            # Each stretch is x_ref * exp(-alpha_off * (t - tau)), computed in place.
+            stops = np.minimum(s.sigmas.astype(np.int64) * (n // horizon), n) + 1
+            for tau, lo, hi in zip(s.taus.tolist(), (self.passage_steps[b] + 1).tolist(),
+                                    stops.tolist()):
+                off = x[lo:hi]
+                np.subtract(self.grid_t[lo:hi], tau, out=off)
+                np.multiply(off, -p.alpha_off, out=off)
+                np.exp(off, out=off)
+                np.multiply(off, p.x_ref, out=off)
         return StochPath(t=self.grid_t, x=x, schedule=s, level=p.x_ref)
 
     @cached_property
@@ -349,7 +377,9 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     kinds equal one draw of the whole horizon.  So a batch holds
     B (T W + spu) doubles, with or without paths (the last spu columns only
     with the bridge test): on the orbit at eps 0.01 and dt 1e-3, W = 461 of
-    each period's 1000 steps.
+    each period's 1000 steps.  The shared grid_t, n + 1 doubles, is built as
+    floats and divided in place, so no integer copy of it sits on top of the
+    store.
     """
     spu = cfg.steps_per_unit()
     horizon = int(cfg.horizon)
@@ -472,7 +502,9 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     # Without paths this frees the draws before grid_t; the window keeps the store.
     window = store[:, :win].reshape(B, horizon, W) if record_paths else None
     store = uniforms = None
-    return BatchResult(grid_t=np.arange(n + 1) / spu, schedules=schedules, params=p,
+    grid_t = np.arange(n + 1, dtype=float)
+    grid_t /= spu
+    return BatchResult(grid_t=grid_t, schedules=schedules, params=p,
                        x0=float(x0), window=window, passage_steps=steps)
 
 

@@ -294,9 +294,11 @@ def test_artifact_bytes_pinned(cfg_file, tmp_path):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_artifact_bytes_under_any_thread_count(cfg_file, tmp_path, monkeypatch, threads):
-    # Draws and bound grids split across threads, small grids included.
+    # Draws and bound grids split across threads, small grids included, and
+    # each part walks its grid in chunks whose edges fall inside the parts.
     monkeypatch.setattr(parallel, "thread_count", lambda: threads)
     monkeypatch.setattr(skorokhod, "SPLIT_POINTS", 2)
+    monkeypatch.setattr(skorokhod, "CHUNK_POINTS", 97)
     _check_artifact_pins(cfg_file, tmp_path)
 
 

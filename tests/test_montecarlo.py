@@ -236,6 +236,25 @@ def test_sweep_deterministic_and_worker_independent(p0, dc0):
     assert a == b == c
 
 
+def test_one_orbit_per_noise_level(p0, dc0, monkeypatch):
+    # Every batch of a level is bounded against the same orbit, so its grid
+    # memo is built once per level; eps = 0 simulates nothing.
+    dets, orbits = [], {}
+    real_det, real_bound = montecarlo.simulate_det, montecarlo.skorokhod_upper_bound
+
+    def bound(z1, z2, lam, *args, **kwargs):
+        orbits.setdefault(z1.horizon, set()).add(id(z1))
+        return real_bound(z1, z2, lam, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "simulate_det",
+                        lambda *args: dets.append(args[-1]) or real_det(*args))
+    monkeypatch.setattr(montecarlo, "skorokhod_upper_bound", bound)
+    cfg = _small_cfg(epsilons=(0.1, 0.05, 0.0), nu=0.5, frak_t=1, replicas=12, batch_size=4)
+    sweep(p0, dc0, cfg)
+    assert dets == [cfg.horizon_for(0.1), cfg.horizon_for(0.05)] == [3, 4]
+    assert {T: len(ids) for T, ids in orbits.items()} == {3: 1, 4: 1}
+
+
 def test_pool_sized_to_batches(p0, dc0, monkeypatch):
     # Serial stand-in for the process pool: records its size, starts no
     # process.  The pool is capped by the batches and by the CPUs this

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,18 +261,22 @@ def test_distance_bounds_pinned(p0, dc0, case):
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_bound_bytes_under_any_thread_count(p0, dc0, monkeypatch, threads):
     # The grid part of a bound is split into parts on several threads; with
-    # parts of two points every grid splits.
+    # parts of two points every grid splits, and with chunks of 97 points
+    # chunk edges fall inside the parts of the longer grids.
     monkeypatch.setattr(parallel, "thread_count", lambda: threads)
     monkeypatch.setattr(skorokhod, "SPLIT_POINTS", 2)
+    monkeypatch.setattr(skorokhod, "CHUNK_POINTS", 97)
     for case in BOUND_PINS:
         _check_bound_pin(p0, dc0, case)
 
 
 def test_nan_gap_in_any_part_gives_nan_sup(monkeypatch):
-    # The parts' maxima are combined with np.maximum, which keeps a NaN
-    # wherever it lies; Python's max would drop one after the first part.
+    # The parts' and the chunks' maxima are combined with np.maximum, which
+    # keeps a NaN wherever it lies; Python's max would drop one after the
+    # first part or chunk.  Parts of 33-34 points walk chunks of 7.
     monkeypatch.setattr(parallel, "thread_count", lambda: 3)
     monkeypatch.setattr(skorokhod, "SPLIT_POINTS", 2)
+    monkeypatch.setattr(skorokhod, "CHUNK_POINTS", 7)
 
     class _NanAt(_ConstPath):
         def __init__(self, value, at):
@@ -284,11 +289,54 @@ def test_nan_gap_in_any_part_gives_nan_sup(monkeypatch):
             return x, y
 
     grid = np.linspace(0.0, 1.0, 101)
-    for at in grid[[0, 40, 100]]:  # in the first, second and third part
+    for at in grid[[0, 40, 55, 100]]:  # part 1; later chunks of parts 2 and 3
         bnd = skorokhod_uniform(_ConstPath(0.2), _NanAt(0.25, at), grid_step=0.01)
         assert math.isnan(bnd.sup_r)
     assert skorokhod_uniform(_ConstPath(0.2), _ConstPath(0.25), grid_step=0.01).sup_r == (
         pytest.approx(0.05))
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced while fn() runs, above what was allocated before."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "identity"])
+def test_bound_scratch_does_not_grow_with_the_horizon(p0, dc0, monkeypatch, aligned):
+    # Once the orbit's memo is built, reading a path and bounding it holds
+    # the path's x plus scratch of about CHUNK_POINTS points, at any horizon.
+    monkeypatch.setattr(parallel, "thread_count", lambda: 1)  # one part: no timing in the peak
+    scratch = []
+    for T in (50, 200):
+        cfg = StochConfig(epsilon=0.01, dt=1e-3, horizon=T, seed=3)
+        res = simulate_batch(p0, dc0.x_star, cfg, range(4))
+        det = simulate_det(p0, (dc0.x_star, 1), T)
+        lams = [align_schedules(det.schedule, s, float(T)) for s in res.schedules]
+        b = next(b for b, lam in enumerate(lams) if lam is not None)
+        lam = lams[b] if aligned else TimeDeformation.identity(float(T))
+        skorokhod_upper_bound(det, res.path(b), lam)  # builds the memo
+        peak = _traced_peak(lambda: skorokhod_upper_bound(det, res.path(b), lam))
+        scratch.append(peak - 8 * cfg.grid_nodes())  # less the path's x
+    assert abs(scratch[1] - scratch[0]) <= 0.1 * scratch[0], scratch
+    assert scratch[0] < 8 * 8 * skorokhod.CHUNK_POINTS, scratch
+
+
+def test_orbit_memo_peaks_at_its_arrays_plus_one_chunk(p0, dc0):
+    # The memo evaluates the orbit CHUNK_POINTS grid points at a time into
+    # its own arrays.
+    for T in (50, 200):
+        det = simulate_det(p0, (dc0.x_star, 1), T)
+        chunk = np.linspace(0.0, 1.0, skorokhod.CHUNK_POINTS)
+        one_chunk = _traced_peak(lambda: det.eval(chunk))
+        memo = []
+        peak = _traced_peak(lambda: memo.extend(skorokhod._on_uniform_grid(det, 1e-3)))
+        own = sum(a.nbytes for a in memo)
+        assert own < peak <= own + one_chunk + 4096, (T, own, peak, one_chunk)
 
 
 def _check_bound_pin(p0, dc0, case):

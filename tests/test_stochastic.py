@@ -6,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from bucksim import (ConfigError, DomainError, StochConfig, border_point,
+from bucksim import (ConfigError, DomainError, StochConfig, StochPath, border_point,
                      crossing_probability, on_flow, on_hit_time, ou_step, parallel,
                      replica_generator, simulate_batch, simulate_det, simulate_stoch,
                      stochastic)
-from bucksim.deterministic import MODE_OFF, MODE_ON
+from bucksim.deterministic import MODE_OFF, MODE_ON, Schedule
 from bucksim.params import mistiming_sd
 from bucksim.stochastic import (BLOCK_ELEMENTS, BLOCK_STEPS_MAX, WINDOW_SDS, ou_step_sd,
                                 schedule_modes, window_steps)
@@ -591,17 +591,52 @@ def test_schedule_modes_match_the_where_formula():
         assert np.all(schedule_modes(taus, sigmas, sigmas) == MODE_ON)
 
 
+def _interp_on_inserted_knots(path: StochPath, q: np.ndarray) -> np.ndarray:
+    """np.interp on the whole grid with each passage inserted before the first node not below it."""
+    ins = np.searchsorted(path.t, path.schedule.taus)
+    return np.interp(q, np.insert(path.t, ins, path.schedule.taus),
+                     np.insert(path.x, ins, path.level))
+
+
+def _check_eval_queries(path: StochPath, rng) -> None:
+    # Dense queries (the grid and more) and sparse ones (around the passages),
+    # each sorted and shuffled, plus a stretch of the grid.
+    taus = path.schedule.taus
+    sparse = np.concatenate([taus, np.nextafter(taus, -np.inf), np.nextafter(taus, np.inf),
+                             rng.uniform(0.0, path.horizon, 5), [0.0, path.horizon]])
+    sparse = np.sort(np.clip(sparse, 0.0, path.horizon))
+    dense = np.sort(np.concatenate([path.t, sparse]))
+    stretch = path.t[len(path.t) // 3:len(path.t) // 2 + 1]
+    for q in (dense, rng.permutation(dense), sparse, rng.permutation(sparse), stretch):
+        x, y = path.eval(q)
+        assert np.array_equal(x.view(np.uint64), _interp_on_inserted_knots(path, q).view(np.uint64))
+        assert np.array_equal(y, schedule_modes(taus, path.schedule.sigmas, q))
+
+
 @pytest.mark.parametrize("kw", [dict(epsilon=0.05, horizon=3, seed=7),
                                 dict(dt=0.1, epsilon=0.3, horizon=6, seed=12),
                                 dict(epsilon=0.05, horizon=0, seed=7)])
-def test_passage_knots_match_np_insert(p0, dc0, kw):
-    # The interpolation knots of a replica: the grid with each passage inserted
-    # before the first grid time not below it, at the level.
+def test_path_eval_matches_np_interp_on_inserted_knots(p0, dc0, kw):
+    # eval interpolates on knots around its queries only; the doubles must
+    # be those of np.interp on the whole knot array.
     cfg = StochConfig(**{"dt": 1e-3, **kw})
+    spu = cfg.steps_per_unit()
     res = simulate_batch(p0, dc0.x_star, cfg, range(40))
+    rng = np.random.default_rng(31)
+    mid_step = 0
     for b, s in enumerate(res.schedules):
-        path = res.path(b)
-        kt, kx = path._knots
-        ins = np.searchsorted(res.grid_t, s.taus)
-        assert np.array_equal(kt, np.insert(res.grid_t, ins, s.taus))
-        assert np.array_equal(kx, np.insert(path.x, ins, p0.x_ref))
+        mid_step += int(np.count_nonzero(s.taus * spu % 1.0 == 0.5))
+        _check_eval_queries(res.path(b), rng)
+    if cfg.horizon:
+        assert mid_step  # bridge passages, half a step after a node
+
+
+def test_path_eval_with_a_passage_on_a_node(p0):
+    # A passage exactly on a node is a knot just before that node's own knot.
+    t = np.arange(31) / 10.0
+    x = np.linspace(0.2, 0.9, 31)
+    taus = np.array([t[3], t[6] + 0.05, t[12], t[29], t[30]])
+    for at in ([0], [1], [2, 3], [4], []):
+        s = Schedule(taus=taus[at], partial_final_on=False)
+        path = StochPath(t=t, x=x, schedule=s, level=p0.x_ref)
+        _check_eval_queries(path, np.random.default_rng(len(at)))
