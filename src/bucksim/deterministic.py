@@ -245,13 +245,14 @@ def simulate_det(p: ConverterParams, z0: tuple[float, int], horizon: int) -> Det
 
 def sample_path(path: DetPath, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample (t, x, y) on a uniform grid of the given step plus the horizon."""
-    if step <= 0:
-        raise DomainError(f"sample_path: step={step!r} must be > 0")
+    if not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"sample_path: step={step!r} must be finite and > 0")
     span = path.horizon / step + 1e-9
     check_grid_size(span + 2, "sample_path: samples")
     n = int(math.floor(span))
     grid = np.minimum(np.arange(n + 1) * step, path.horizon)
-    t = np.unique(np.append(grid, path.horizon))
+    # The grid is sorted and only its last node can reach the horizon.
+    t = grid if grid[-1] == path.horizon else np.append(grid, path.horizon)
     x, y = path.eval(t)
     return t, x, y
 

@@ -1,5 +1,8 @@
 """Array work of one call split across the CPUs this process may use.
 
+Its one user is the engine's fill of the normals it draws; the distance
+bound walks its grid on the calling thread.
+
 One thread pool per process, created on first use and dropped in forked
 children, which inherit the pool object but not its threads.  The thread
 count is derived, never set: the CPUs of the process's affinity mask
@@ -48,13 +51,13 @@ def _drop_pool() -> None:
 os.register_at_fork(after_in_child=_drop_pool)
 
 
-def split(fn, count: int, min_part: int = 1) -> list:
+def split(fn, count: int) -> list:
     """[fn(lo, hi), ...] over contiguous parts of range(count), in order.
 
-    At most thread_count() parts of at least min_part each (one part when
-    count is smaller); the calling thread runs the first part.
+    At most thread_count() parts, none empty (one part when count < 2);
+    the calling thread runs the first part.
     """
-    parts = max(1, min(thread_count(), count // min_part))
+    parts = max(1, min(thread_count(), count))
     if parts == 1:
         return [fn(0, count)]
     global _pool

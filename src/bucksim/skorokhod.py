@@ -21,12 +21,11 @@ points, and the first path only at the preimages of the second path's
 jumps: its values on the grid and at its own jumps are memoised on a
 DetPath, the first path of every bound in a sweep.  The state metric is
 |dx| where the modes agree and hypot(|dx|, 1) where they differ, which is
-np.hypot(dx, dy) bit for bit (up to the sign bit of a NaN).  Long grids
-are split into contiguous parts on the process's threads; the maximum is
-exact, so no bound depends on the thread count.  Each part walks its range
-CHUNK_POINTS points at a time, and the memo is filled the same way, so
-besides the path being bounded and the memo (both grid-length) a bound's
-scratch is about CHUNK_POINTS points per thread, whatever the horizon.
+np.hypot(dx, dy) bit for bit (up to the sign bit of a NaN).  A bound
+walks its grid CHUNK_POINTS points at a time on the calling thread, and
+the memo is filled the same way, so besides the path being bounded and
+the memo (both grid-length) a bound's scratch is about CHUNK_POINTS
+points, whatever the horizon.
 
 For piecewise-linear lam the distortion equals max |log slope| over linear
 pieces: any chord slope is a convex combination (weighted by time
@@ -41,16 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
 from .deterministic import DetPath, Schedule
 from .errors import DomainError, check_grid_size
 
-# The grid part of a bound is split across threads in parts of at least
-# this many points: shorter parts lose more to handing the interpreter lock
-# between threads than they gain.
-SPLIT_POINTS = 2 ** 14
-# Each part walks its grid CHUNK_POINTS points at a time, so a bound's
-# scratch does not grow with the horizon (a 10 001-point grid is one chunk).
+# A bound walks its grid CHUNK_POINTS points at a time, so its scratch
+# does not grow with the horizon (a 10 001-point grid is one chunk).
 CHUNK_POINTS = 2 ** 14
 
 # Step of the uniform distance grid; the sweep and the CLI always use it.
@@ -196,11 +190,9 @@ def skorokhod_upper_bound(z1, z2, lam: TimeDeformation,
     jump times of z1, and the lam-preimages of all jump times of z2; the
     0-or-1 mode mismatch is therefore captured exactly.  z2 is evaluated
     twice, at the grid and at the jump points; z1 only at the preimages,
-    the rest is memoised on a DetPath.  The grid part runs in parts of at
-    least SPLIT_POINTS points on the process's threads, so z2.eval must be
-    safe to call from several threads at once; each part walks its range
-    CHUNK_POINTS points at a time.  The chunks' and the parts' maxima are
-    combined with np.maximum, which keeps a NaN from any of them.
+    the rest is memoised on a DetPath.  The grid part is walked
+    CHUNK_POINTS points at a time; the chunks' maxima are combined with
+    np.maximum, which keeps a NaN from any of them.
     """
     T = z1.horizon
     if abs(z2.horizon - T) > 1e-9 or abs(lam.horizon - T) > 1e-9:
@@ -212,17 +204,12 @@ def skorokhod_upper_bound(z1, z2, lam: TimeDeformation,
     px1, py1 = z1.eval(j2)
     jumps = np.concatenate([j1, j2])
     identity = len(lam.knots_t) == 2
-
-    def grid_sup(lo: int, hi: int):
-        sup = -np.inf
-        for a in range(lo, hi, CHUNK_POINTS):
-            b = min(a + CHUNK_POINTS, hi)
-            # A two-knot deformation is the identity: the grid is its own image.
-            q = grid[a:b] if identity else np.clip(lam(grid[a:b]), 0.0, T)
-            sup = np.maximum(sup, _state_gaps(gx1[a:b], gy1[a:b], *z2.eval(q)).max())
-        return sup
-
-    on_grid = np.maximum.reduce(parallel.split(grid_sup, len(grid), SPLIT_POINTS))
+    on_grid = -np.inf
+    for lo in range(0, len(grid), CHUNK_POINTS):
+        part = slice(lo, lo + CHUNK_POINTS)
+        # A two-knot deformation is the identity: the grid is its own image.
+        q = grid[part] if identity else np.clip(lam(grid[part]), 0.0, T)
+        on_grid = np.maximum(on_grid, _state_gaps(gx1[part], gy1[part], *z2.eval(q)).max())
     at_jumps = _state_gaps(np.concatenate([jx1, px1]), np.concatenate([jy1, py1]),
                            *z2.eval(np.clip(lam(jumps), 0.0, T))).max(initial=0.0)
     sup_r = float(np.maximum(on_grid, at_jumps))  # a NaN gap propagates

@@ -294,10 +294,9 @@ def test_artifact_bytes_pinned(cfg_file, tmp_path):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_artifact_bytes_under_any_thread_count(cfg_file, tmp_path, monkeypatch, threads):
-    # Draws and bound grids split across threads, small grids included, and
-    # each part walks its grid in chunks whose edges fall inside the parts.
+    # The engine's draws split across threads, and each bound walks its
+    # grid in chunks of 97 points.
     monkeypatch.setattr(parallel, "thread_count", lambda: threads)
-    monkeypatch.setattr(skorokhod, "SPLIT_POINTS", 2)
     monkeypatch.setattr(skorokhod, "CHUNK_POINTS", 97)
     _check_artifact_pins(cfg_file, tmp_path)
 
@@ -460,6 +459,22 @@ def test_mc_sweep_runs_without_scipy(cfg_file, tmp_path):
     assert done.returncode == 0, done.stderr
     for name in ("report.csv", "summary.json"):
         assert (tmp_path / "there" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
+def test_simulate_det_does_not_import_numpy_ma(cfg_file, tmp_path):
+    # np.unique imports numpy.ma on first use, about 1 MB for the life of
+    # the process; sampling the orbit does without it.
+    code = ("import sys\nimport bucksim.cli\n"
+            "assert bucksim.cli.main(sys.argv[1:]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, "simulate-det", "--config", cfg_file,
+                           "--horizon", "3", "--quiet", "--out", str(tmp_path / "det")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "det" / "schedule.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

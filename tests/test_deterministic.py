@@ -206,3 +206,28 @@ def test_sample_path_grid(p0, dc0):
     assert t[0] == 0.0 and t[-1] == 2.0
     assert len(t) == len(x) == len(y)
     assert set(np.unique(y)) <= {0, 1}
+
+
+@pytest.mark.parametrize("horizon, step", [
+    (0, 0.01),                # horizon 0: the grid is [0]
+    (3, 0.5),                 # divides the horizon
+    (3, 0.7),                 # does not divide it: the horizon is appended
+    (3, 0.1 * (1 + 1e-12)),   # the last node is clamped onto the horizon
+    (2, 1e-3),
+    (1, 2.5),                 # larger than the horizon
+], ids=["zero-horizon", "divides", "remainder", "clamped", "fine", "coarse"])
+def test_sample_path_matches_the_unique_formula(p0, dc0, horizon, step):
+    # The samples are the sorted, distinct nodes of the clamped grid plus
+    # the horizon, as np.unique gave them, byte for byte.
+    path = simulate_det(p0, (dc0.x_star, 1), horizon)
+    n = int(math.floor(horizon / step + 1e-9))
+    t_ref = np.unique(np.append(np.minimum(np.arange(n + 1) * step, horizon), horizon))
+    for got, ref in zip(sample_path(path, step), (t_ref, *path.eval(t_ref))):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -1.0])
+def test_sample_path_refuses_a_bad_step(p0, dc0, step):
+    path = simulate_det(p0, (dc0.x_star, 1), 3)
+    with pytest.raises(DomainError, match=f"step={step!r}"):
+        sample_path(path, step)

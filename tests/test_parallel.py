@@ -19,9 +19,9 @@ def _report_split_sum(conn) -> None:
 def test_parts_cover_the_range_in_order(monkeypatch):
     for threads in (1, 2, 3):
         monkeypatch.setattr(parallel, "thread_count", lambda: threads)
-        for count, min_part in ((0, 1), (1, 1), (2, 1), (10, 1), (10, 4), (1001, 1)):
-            parts = parallel.split(lambda lo, hi: (lo, hi), count, min_part)
-            assert len(parts) == max(1, min(threads, count // min_part))
+        for count in (0, 1, 2, 10, 1001):
+            parts = parallel.split(lambda lo, hi: (lo, hi), count)
+            assert len(parts) == max(1, min(threads, count))
             assert parts[0][0] == 0 and parts[-1][1] == count
             assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
 

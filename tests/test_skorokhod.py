@@ -258,24 +258,38 @@ def test_distance_bounds_pinned(p0, dc0, case):
     _check_bound_pin(p0, dc0, case)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_bound_bytes_under_any_thread_count(p0, dc0, monkeypatch, threads):
-    # The grid part of a bound is split into parts on several threads; with
-    # parts of two points every grid splits, and with chunks of 97 points
-    # chunk edges fall inside the parts of the longer grids.
-    monkeypatch.setattr(parallel, "thread_count", lambda: threads)
-    monkeypatch.setattr(skorokhod, "SPLIT_POINTS", 2)
-    monkeypatch.setattr(skorokhod, "CHUNK_POINTS", 97)
+@pytest.mark.parametrize("chunk", [97, skorokhod.CHUNK_POINTS])
+def test_bound_bytes_at_any_chunk_size(p0, dc0, monkeypatch, chunk):
+    # With chunks of 97 points chunk edges fall inside every grid of the
+    # pins; with the default the shorter grids are one chunk.
+    monkeypatch.setattr(skorokhod, "CHUNK_POINTS", chunk)
     for case in BOUND_PINS:
         _check_bound_pin(p0, dc0, case)
 
 
+def test_long_grid_bound_runs_on_the_calling_thread(p0, dc0, monkeypatch):
+    # A 40 001-point grid on two threads is walked by the calling thread
+    # alone, and gives the bound of one thread.
+    T = 40
+    cfg = StochConfig(epsilon=0.05, dt=1e-3, horizon=T, seed=7)
+    det = simulate_det(p0, (dc0.x_star, 1), T)
+    z2 = simulate_batch(p0, dc0.x_star, cfg, range(1)).path(0)
+    lams = (TimeDeformation.identity(T),
+            TimeDeformation(np.array([0.0, T / 3, T]), np.array([0.0, T / 2, T])))
+    monkeypatch.setattr(parallel, "thread_count", lambda: 1)
+    one = [skorokhod_upper_bound(det, z2, lam) for lam in lams]
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("the bound split its grid")
+
+    monkeypatch.setattr(parallel, "thread_count", lambda: 2)
+    monkeypatch.setattr(parallel, "split", no_split)
+    assert [skorokhod_upper_bound(det, z2, lam) for lam in lams] == one
+
+
 def test_nan_gap_in_any_part_gives_nan_sup(monkeypatch):
-    # The parts' and the chunks' maxima are combined with np.maximum, which
-    # keeps a NaN wherever it lies; Python's max would drop one after the
-    # first part or chunk.  Parts of 33-34 points walk chunks of 7.
-    monkeypatch.setattr(parallel, "thread_count", lambda: 3)
-    monkeypatch.setattr(skorokhod, "SPLIT_POINTS", 2)
+    # The chunks' maxima are combined with np.maximum, which keeps a NaN
+    # wherever it lies; Python's max would drop one after the first chunk.
     monkeypatch.setattr(skorokhod, "CHUNK_POINTS", 7)
 
     class _NanAt(_ConstPath):
@@ -289,7 +303,7 @@ def test_nan_gap_in_any_part_gives_nan_sup(monkeypatch):
             return x, y
 
     grid = np.linspace(0.0, 1.0, 101)
-    for at in grid[[0, 40, 55, 100]]:  # part 1; later chunks of parts 2 and 3
+    for at in grid[[0, 40, 55, 100]]:  # the first chunk, middle chunks, the last one
         bnd = skorokhod_uniform(_ConstPath(0.2), _NanAt(0.25, at), grid_step=0.01)
         assert math.isnan(bnd.sup_r)
     assert skorokhod_uniform(_ConstPath(0.2), _ConstPath(0.25), grid_step=0.01).sup_r == (
@@ -307,10 +321,9 @@ def _traced_peak(fn) -> int:
 
 
 @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "identity"])
-def test_bound_scratch_does_not_grow_with_the_horizon(p0, dc0, monkeypatch, aligned):
+def test_bound_scratch_does_not_grow_with_the_horizon(p0, dc0, aligned):
     # Once the orbit's memo is built, reading a path and bounding it holds
     # the path's x plus scratch of about CHUNK_POINTS points, at any horizon.
-    monkeypatch.setattr(parallel, "thread_count", lambda: 1)  # one part: no timing in the peak
     scratch = []
     for T in (50, 200):
         cfg = StochConfig(epsilon=0.01, dt=1e-3, horizon=T, seed=3)
