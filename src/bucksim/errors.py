@@ -11,7 +11,9 @@ too: exceeding it is a configuration problem.
 # or the sample/evaluation points of one path.  A batch of B replicas over
 # n = T spu nodes holds B (T W + spu) doubles (stochastic._simulate_windows),
 # so with whole periods (W = spu) about 0.27 GB at the cap plus one period
-# per replica; reading one replica's path builds n + 1 doubles more, and ys
+# per replica; a window W < spu holds less, plus spu - W doubles for each
+# replica-period that outlasts it (a spill), so never more than whole
+# periods.  Reading one replica's path builds n + 1 doubles more, and ys
 # B (n + 1) bytes.  Sweeps and simulate-sde split their replicas into
 # batches under it.  The cap also bounds the iterates of the stroboscopic
 # map (strobe.iterate_map keeps one float per iterate).

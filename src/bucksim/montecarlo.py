@@ -26,7 +26,6 @@ report bytes are independent of the worker count and the batch size.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -280,6 +279,9 @@ def _replica_tallies(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
                            f"one replica's grid at epsilon={eps!r}")
     workers = min(cfg.workers, len(batches), parallel.usable_cpus())
     if workers > 1:
+        # Imported here: the process pool pulls in multiprocessing, which a
+        # serial sweep, and the CLI's set-up, do without.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=parallel.share_cpus,
                                  initargs=(workers,)) as pool:
             results = list(pool.map(run, batches))
@@ -379,7 +381,30 @@ def _moment_estimate(tab: BadEventTable, p_order: float, d: np.ndarray) -> Momen
         raise DomainError(f"E[d^p] or its standard error overflows at p={p_order!r} "
                           f"(epsilon={tab.epsilon!r}); use a smaller p")
     return MomentEstimate(moment=moment, se=se, mean_d=float(d.mean()),
-                          q90=float(np.quantile(d, 0.9)), q99=float(np.quantile(d, 0.99)))
+                          q90=_quantile(d, 0.9), q99=_quantile(d, 0.99))
+
+
+def _quantile(d: np.ndarray, q: float) -> float:
+    """np.quantile(d, q) of a finite 1-d array, by numpy's default linear method.
+
+    numpy's own steps, bit for bit: the virtual index (n - 1) q, its floor
+    and the next index (both the last one when the virtual index is at or
+    past it), a partition at those indices and at both ends, and _lerp's two
+    forms, switched at gamma 0.5.  np.quantile would also call np.unique,
+    which imports numpy.ma (about 1 MB) on first use.
+    """
+    n = d.size
+    v = (n - 1) * q
+    if v >= n - 1:
+        i = j = -1
+    else:
+        i = math.floor(v)
+        j = i + 1
+    part = np.partition(d, sorted({0, n - 1, i % n, j % n}))
+    a, b = float(part[i]), float(part[j])
+    gamma = v - i
+    diff = b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 def _verdicts(p: ConverterParams, dc: DerivedConstants, cfg: McConfig, eps: float,

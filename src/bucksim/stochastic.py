@@ -19,8 +19,9 @@ of the grid size, until the block of their passage.  Restarts are applied
 at the integer nodes, so each period's ON steps are its first ones, and
 the batch keeps only a window of W steps per period: the latest
 deterministic passage of the run plus WINDOW_SDS linear-response sds of
-the mistiming (window_steps).  A phase still ON at its window's edge reruns
-the batch with whole periods.  The OFF stretches of recorded paths are
+the mistiming (window_steps).  A phase still ON at its window's edge
+spills: it steps on to the period's end in the same loop, with its normals
+re-drawn from its own stream.  The OFF stretches of recorded paths are
 filled in closed form when a path is read.  A replica's mode is not
 stored: its schedule fixes it (schedule_modes).  _simulate_windows
 describes the one store that holds a batch's draws and recorded paths.
@@ -55,8 +56,10 @@ from .params import ConverterParams, derive_constants, mistiming_sd, require_val
 BLOCK_ELEMENTS = 2 ** 14
 BLOCK_STEPS_MAX = 128
 # A period keeps its first W steps: the latest deterministic passage plus
-# WINDOW_SDS linear-response sds of the mistiming (window_steps).
-WINDOW_SDS = 7.0
+# WINDOW_SDS linear-response sds of the mistiming (window_steps).  At seeds
+# 42 and 7 at most 0.5 % of the replica-periods of the benchmark's
+# workloads outlast 3 sds and spill, and none outlasts 5.2 at seed 42.
+WINDOW_SDS = 3.0
 
 
 def ou_step(p: ConverterParams, x: float, h: float, eps: float, gauss: float) -> float:
@@ -98,7 +101,7 @@ def crossing_probability(x1: float, x2: float, level: float, h: float, eps: floa
     var = eps * eps * h
     if var == 0.0:
         return 0.0
-    return float(_bridge_probability(-(2.0 / var), level - x1, level - x2))
+    return float(_bridge_probability(-(2.0 / var), np.array([level - x1]), level - x2)[0])
 
 
 def _bridge_probability(neg_inv_var, gap1, gap2):
@@ -106,9 +109,12 @@ def _bridge_probability(neg_inv_var, gap1, gap2):
 
     neg_inv_var is -2 / (eps^2 h).  Clamping the exponent at 0 gives 1 for
     an endpoint crossing, which the engine flags on its own, and keeps exp
-    from overflowing.
+    from overflowing.  The gaps are arrays; the result is computed in one
+    array of their shape.
     """
-    return np.exp(np.minimum(neg_inv_var * gap1 * gap2, 0.0))
+    e = np.multiply(neg_inv_var, gap1)
+    e *= gap2
+    return np.exp(np.minimum(e, 0.0, out=e), out=e)
 
 
 @dataclass(frozen=True)
@@ -255,10 +261,12 @@ class BatchResult:
 
     A recorded path is kept as the x of each period's first W grid nodes
     after its start (window, replicas x periods x W, a view into the
-    batch's store; see _simulate_windows).  path(b) fills in the rest, the
-    OFF stretches and restart nodes, in closed form when it is read, in place
-    and stretch by stretch, so a read allocates only the path's n + 1
-    doubles; ys derives every replica's grid modes from its schedule.
+    batch's store; see _simulate_windows), and, for each period in which
+    the replica spilled, the x of the period's remaining nodes (spills).
+    path(b) fills in the rest, the OFF stretches and restart nodes, in
+    closed form when it is read, in place and stretch by stretch, so a read
+    allocates only the path's n + 1 doubles; ys derives every replica's
+    grid modes from its schedule.
     """
 
     grid_t: np.ndarray
@@ -266,6 +274,7 @@ class BatchResult:
     params: ConverterParams
     x0: float
     window: np.ndarray | None            # None without paths
+    spills: list[list[tuple[int, np.ndarray]]] | None  # per replica: (period, x of steps W..)
     passage_steps: list[np.ndarray]      # grid step of each passage, per replica
 
     def path(self, b: int) -> StochPath:
@@ -278,7 +287,10 @@ class BatchResult:
         x = np.empty(n + 1)
         x[0] = self.x0
         if horizon:
-            x[1:].reshape(horizon, -1)[:, :W] = self.window[b]
+            periods = x[1:].reshape(horizon, -1)
+            periods[:, :W] = self.window[b]
+            for k, spilled in self.spills[b]:
+                periods[k, W:] = spilled
         if len(s.taus):
             # x decays from the node after each passage up to and including
             # the restart node; a window never reaches past those nodes.
@@ -312,7 +324,7 @@ def window_steps(p: ConverterParams, x0: float, cfg: StochConfig) -> int:
     and s_inf the linear-response sd of a passage's mistiming
     (params.mistiming_sd).  A deterministic phase that spans a clock pulse
     or runs past the horizon gives W = spu.  W sets only the batch's memory
-    and whether it reruns, never its bytes.
+    and which phases spill, never its bytes.
     """
     spu = cfg.steps_per_unit()
     sched = simulate_det(p, (x0, MODE_ON), cfg.horizon).schedule
@@ -331,36 +343,36 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     an exact float ratio, so integer clock times are hit exactly.  Restarts
     fall on clock times, so every period's ON steps are its first ones; the
     batch keeps only the first W steps of each period (window_steps), about
-    t_star + 7 eps s_inf of it on the orbit.  In the period [k, k + 1] the
+    t_star + 3 eps s_inf of it on the orbit.  In the period [k, k + 1] the
     replicas ON at node k are stepped in blocks of L steps (BLOCK_ELEMENTS
     over their count, capped at BLOCK_STEPS_MAX, stopped at the window's
-    edge): the exact OU update step by step, then one pass over the block
-    for passage detection (endpoint crossing with interpolated tau;
-    optional bridge test with mid-step tau).  Crossed replicas leave after
-    the block; the period ends once none is left.  OFF->ON restarts are
-    applied at node k + 1 from the closed-form OFF decay.  Recorded paths
-    share the draws' store (_simulate_windows); their OFF stretches are
-    filled in closed form when read (BatchResult.path).  A replica still ON
-    at a window's edge, by a late passage or an ON phase that spans a
-    clock pulse, reruns the batch with W = spu, which gives the same bytes.
+    edge and at the period's): the exact OU update step by step, then one
+    pass over the block for passage detection (endpoint crossing with
+    interpolated tau; optional bridge test with mid-step tau).  Crossed
+    replicas leave after the block; the period ends once none is left.
+    OFF->ON restarts are applied at node k + 1 from the closed-form OFF
+    decay.  Recorded paths share the draws' store (_simulate_windows);
+    their OFF stretches are filled in closed form when read
+    (BatchResult.path).  A replica still ON at a window's edge, by a late
+    passage or an ON phase that spans a clock pulse, spills: the same
+    blocks step it on to the period's end with normals re-drawn from its
+    own stream, so any W gives the bytes of whole periods in one pass.
     Only the generators' set-up and the normal fill run on several threads,
-    by replica rows; everything else runs on the calling thread.
+    by replica rows; everything else, the spills included, runs on the
+    calling thread.
     """
     require_valid(p)
     cfg.validate()
     if not 0.0 < x0 < p.x_ref:
         raise DomainError(f"simulate_batch: x0={x0!r} outside (0, {p.x_ref})")
     check_grid_size(len(replica_ids) * cfg.grid_nodes(), "simulate_batch: replicas x grid nodes")
-    res = _simulate_windows(p, x0, cfg, replica_ids, record_paths, window_steps(p, x0, cfg))
-    if res is None:
-        res = _simulate_windows(p, x0, cfg, replica_ids, record_paths, cfg.steps_per_unit())
-    return res
+    return _simulate_windows(p, x0, cfg, replica_ids, record_paths, window_steps(p, x0, cfg))
 
 
 def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
                       replica_ids: Sequence[int], record_paths: bool,
-                      W: int) -> BatchResult | None:
-    """simulate_batch keeping the first W steps of each period; None once a phase outlasts them.
+                      W: int) -> BatchResult:
+    """simulate_batch keeping the first W steps of each period, spilling the phases that outlast them.
 
     Each replica's stream holds its n normals, then (bridge) its n uniforms.
     One store holds a row per replica: column k W + j holds normal k spu + j
@@ -369,15 +381,18 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     paths need no array of their own.  The normals are drawn a few periods
     at a time into a scratch of each thread, in stream order, and each
     period's first W are kept; they are scaled to the step's sd one block at
-    a time.  The rest of a period's steps are OFF for every replica once no
-    phase outlasts the window.  The last spu columns hold one period's
+    a time.  The rest of a period's steps are OFF for every replica but the
+    few that spill, whose rows for them are drawn again when they reach
+    step W (spill).  The last spu columns hold one period's
     uniforms, drawn whole at the period's start on the calling thread; a
     separate period buffer came from the malloc heap, where the block
     scratch fragmented it (about 3 MB more peak RSS).  Drawn in parts, both
     kinds equal one draw of the whole horizon.  So a batch holds
     B (T W + spu) doubles, with or without paths (the last spu columns only
-    with the bridge test): on the orbit at eps 0.01 and dt 1e-3, W = 461 of
-    each period's 1000 steps.  The shared grid_t, n + 1 doubles, is built as
+    with the bridge test), plus spu - W per spilled replica-period: on the
+    orbit at eps 0.01 and dt 1e-3, W = 424 of each period's 1000 steps.  A
+    block releases its scratch as it goes, so a block holds about three
+    arrays of its size at once.  The shared grid_t, n + 1 doubles, is built as
     floats and divided in place, so no integer copy of it sits on top of the
     store.
     """
@@ -417,6 +432,32 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
         # Each generator is built and filled by one thread, in stream order.
         parallel.split(fill_normals, B)
 
+    # Replica rows still ON at step W of period k step on to the period's
+    # end in the same block loop.  spill(k, act) gives their rows for steps
+    # W .. spu - 1: normals re-drawn from each replica's stream by a spill
+    # generator that moves on from where its last spill stopped, so no
+    # stream is drawn more than twice; with paths the x of those steps is
+    # written over them and each row kept (BatchResult.spills).
+    spills = [[] for _ in range(B)] if record_paths else None
+    spill_gens: dict[int, tuple[np.random.Generator, int]] = {}
+
+    def spill(k: int, act: np.ndarray) -> np.ndarray | None:
+        if not (noisy or record_paths):
+            return None
+        spilled = np.empty((act.size, spu - W))
+        start = k * spu + W  # stream index of the first normal a row takes
+        for r, b in enumerate(act.tolist()):
+            if record_paths:
+                spills[b].append((k, spilled[r]))
+            if noisy:
+                g, at = spill_gens.get(b) or (
+                    replica_generator(cfg.seed, int(replica_ids[b]), cfg.stream), 0)
+                for lo in range(at, start, spu):
+                    g.standard_normal(min(spu, start - lo))
+                g.standard_normal(out=spilled[r])
+                spill_gens[b] = (g, start + spu - W)
+        return spilled
+
     x = np.full(B, float(x0))   # state at the current node of every ON replica
     on = np.ones(B, dtype=bool)
     tau_last = np.full(B, np.nan)
@@ -432,15 +473,22 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
                 gens[j].random(out=uniforms[j])
         act = np.flatnonzero(on)
         xa = x[act]
-        j0 = 0  # step of the period, and column of its window
-        while act.size and j0 < W:
+        # Step j0 of the period reads its normal from, and writes its x to,
+        # column col0 + j0 of rows `rows` of buf: the window's up to step W,
+        # then the spill of the replicas still ON there.
+        buf, rows, col0 = store, act, k * W
+        j0 = 0  # step of the period
+        while act.size and j0 < spu:
+            if j0 == W:
+                buf, rows, col0 = spill(k, act), np.arange(act.size), -W
             # Steps base + j0 .. base + j0 + L - 1 of every active replica, time along axis 0.
-            L = min(max(BLOCK_ELEMENTS // act.size, 1), BLOCK_STEPS_MAX, W - j0)
-            cols = slice(k * W + j0, k * W + j0 + L)
+            L = min(max(BLOCK_ELEMENTS // act.size, 1), BLOCK_STEPS_MAX,
+                    (W if j0 < W else spu) - j0)
+            cols = slice(col0 + j0, col0 + j0 + L)
             xb = np.empty((L + 1, act.size))
             xb[0] = xa
             if noisy:
-                w = (store[act, cols] * sd).T
+                w = (buf[rows, cols] * sd).T
             for j in range(L):
                 xm = xb[j + 1]
                 np.subtract(xb[j], m, out=xm)
@@ -448,16 +496,20 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
                 np.add(xm, m, out=xm)
                 if noisy:
                     np.add(xm, w[j], out=xm)
+            if noisy:
+                del w
             up = xb[1:] >= x_ref
             crossed = up
             if bridge:
                 gap = x_ref - xb
                 pb = _bridge_probability(neg_inv_var, gap[:-1], gap[1:])
+                del gap
                 crossed = up | (uniforms[act, j0:j0 + L].T < pb)
+                del pb
             if record_paths:
                 # Values after a passage are replaced by the OFF fill when the
                 # path is read.  These columns held the normals gathered into w.
-                store[act, cols] = xb[1:].T
+                buf[rows, cols] = xb[1:].T
             done = crossed.any(axis=0)
             c = np.flatnonzero(done)
             jc = crossed[:, c].argmax(axis=0)  # step of each crosser's first passage
@@ -470,16 +522,15 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
                 # at the threshold; place tau at the step start then.
                 den = np.maximum(xb[ju + 1, cu] - xb[ju, cu], 1e-300)
                 tv[hit] = t0[hit] + h * ((x_ref - xb[ju, cu]) / den)
-            rows = act[c]
-            ev_rows.append(rows)
+            ended = act[c]
+            ev_rows.append(ended)
             ev_tau.append(tv)
             ev_step.append(base + j0 + jc)
-            on[rows] = False
-            tau_last[rows] = tv
-            act, xa = act[~done], xb[L, ~done]
+            on[ended] = False
+            tau_last[ended] = tv
+            keep = ~done
+            act, rows, xa = act[keep], rows[keep], xb[L, keep]
             j0 += L
-        if act.size and W < spu:
-            return None
         x[act] = xa
         node = float(k + 1)
         # A passage's restart is the next integer node (Schedule.sigmas).
@@ -504,8 +555,8 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     store = uniforms = None
     grid_t = np.arange(n + 1, dtype=float)
     grid_t /= spu
-    return BatchResult(grid_t=grid_t, schedules=schedules, params=p,
-                       x0=float(x0), window=window, passage_steps=steps)
+    return BatchResult(grid_t=grid_t, schedules=schedules, params=p, x0=float(x0),
+                       window=window, spills=spills, passage_steps=steps)
 
 
 def simulate_stoch(p: ConverterParams, z0: tuple[float, int], cfg: StochConfig,

@@ -301,17 +301,19 @@ def test_artifact_bytes_under_any_thread_count(cfg_file, tmp_path, monkeypatch, 
     _check_artifact_pins(cfg_file, tmp_path)
 
 
-def test_artifact_bytes_after_forced_reruns(cfg_file, tmp_path, monkeypatch):
-    # A window of one step sends every batch with a period through the rerun
-    # with whole periods (W = spu, 100 at dt 0.01, 1000 at dt 1e-3).
-    runs = []
+def test_artifact_bytes_after_forced_spills(cfg_file, tmp_path, monkeypatch):
+    # A window of one step sends every ON phase past its window's edge: each
+    # spills the rest of its period (99 steps at dt 0.01, 999 at dt 1e-3),
+    # in the batch's one pass.
+    batches, passes = [], []
     real = stochastic._simulate_windows
-    monkeypatch.setattr(stochastic, "window_steps", lambda p, x0, cfg: 1)
+    monkeypatch.setattr(stochastic, "window_steps", lambda p, x0, cfg: batches.append(cfg) or 1)
     monkeypatch.setattr(stochastic, "_simulate_windows",
-                        lambda *args: runs.append(args[-1]) or real(*args))
+                        lambda *args: passes.append(real(*args)) or passes[-1])
     _check_artifact_pins(cfg_file, tmp_path)
-    assert runs and runs[0::2] == [1] * (len(runs) // 2)
-    assert set(runs[1::2]) == {100, 1000}
+    assert passes and len(passes) == len(batches)
+    spilled = {len(x) for res in passes if res.spills for s in res.spills for _, x in s}
+    assert spilled == {99, 999}
 
 
 def _check_artifact_pins(cfg_file, tmp_path):
@@ -450,31 +452,51 @@ def test_mc_sweep_runs_without_scipy(cfg_file, tmp_path):
     args = ["mc-sweep", "--config", cfg_file, "--epsilons", "0.1,0.0",
             "--frak-t", "2", "--replicas", "20", "--dt", "0.01", "--quiet"]
     assert main(args + ["--out", str(tmp_path / "here")]) == 0
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", NO_SCIPY_MAIN] + args
-                          + ["--out", str(tmp_path / "there")],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = _run_python(NO_SCIPY_MAIN, *args, "--out", str(tmp_path / "there"))
     assert done.returncode == 0, done.stderr
     for name in ("report.csv", "summary.json"):
         assert (tmp_path / "there" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
-def test_simulate_det_does_not_import_numpy_ma(cfg_file, tmp_path):
-    # np.unique imports numpy.ma on first use, about 1 MB for the life of
-    # the process; sampling the orbit does without it.
-    code = ("import sys\nimport bucksim.cli\n"
-            "assert bucksim.cli.main(sys.argv[1:]) == 0\n"
-            "assert 'numpy.ma' not in sys.modules\n")
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's bucksim."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code, "simulate-det", "--config", cfg_file,
-                           "--horizon", "3", "--quiet", "--out", str(tmp_path / "det")],
+    return subprocess.run([sys.executable, "-c", code, *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+# Runs the CLI with argv[1:], then checks that numpy.ma was never imported.
+MAIN_WITHOUT_NUMPY_MA = ("import sys\nimport bucksim.cli\n"
+                         "assert bucksim.cli.main(sys.argv[1:]) == 0\n"
+                         "assert 'numpy.ma' not in sys.modules\n")
+
+
+def test_simulate_det_does_not_import_numpy_ma(cfg_file, tmp_path):
+    # np.unique imports numpy.ma on first use, about 1 MB for the life of
+    # the process; sampling the orbit does without it.
+    done = _run_python(MAIN_WITHOUT_NUMPY_MA, "simulate-det", "--config", cfg_file,
+                       "--horizon", "3", "--quiet", "--out", str(tmp_path / "det"))
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "det" / "schedule.csv").exists()
+
+
+def test_mc_sweep_does_not_import_numpy_ma(cfg_file, tmp_path):
+    # np.quantile calls np.unique; the report's quantiles do without both.
+    done = _run_python(MAIN_WITHOUT_NUMPY_MA, "mc-sweep", "--config", cfg_file,
+                       "--epsilons", "0.1,0.0", "--frak-t", "2", "--replicas", "20",
+                       "--dt", "0.01", "--quiet", "--out", str(tmp_path / "mc"))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "mc" / "summary.json").exists()
+
+
+def test_import_does_not_start_multiprocessing():
+    # The process pool of a sweep with several workers is imported when one
+    # is started, so a serial run's set-up does without multiprocessing.
+    done = _run_python("import sys\nimport bucksim, bucksim.cli\n"
+                       "assert not [m for m in sys.modules if m.startswith('multiprocessing')]\n")
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("argv", [

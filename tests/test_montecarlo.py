@@ -1,9 +1,12 @@
+import concurrent.futures
 import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 from scipy.stats import norm
 
@@ -276,7 +279,7 @@ def test_pool_sized_to_batches(p0, dc0, monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the affinity mask wins
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setattr(parallel, "_processes", 2)
@@ -349,3 +352,21 @@ def test_good_event_requires_all_cycles(p0, dc0):
     assert (n, sign) == (1, -1)
     n, sign = _first_bad_cycle(det_t, np.array([0.41, 1.38, 2.41]), 0.05, 3)
     assert (n, sign) == (0, 0)
+
+
+# Values with ties, signed zeros and wide magnitudes.
+_QUANTILE_POOL = [0.0, -0.0, 1.0, 1.0 + 2 ** -52, 2.5, 1e-300, 3e7, 1e300]
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=st.lists(st.sampled_from(_QUANTILE_POOL) | st.floats(0.0, 1e6), min_size=1,
+                  max_size=40),
+       q=st.sampled_from([0.9, 0.99, 0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+def test_quantile_is_np_quantile_bit_for_bit(d, q):
+    # The report's q90 and q99 without np.quantile, which imports numpy.ma:
+    # the same doubles for ties, one or two values and constant arrays.
+    for a in (np.array(d), np.full(len(d), d[0])):
+        want = np.quantile(a, q)
+        got = montecarlo._quantile(a, q)
+        assert type(got) is float
+        assert np.float64(got).view(np.uint64) == want.view(np.uint64), (a, q)

@@ -2,9 +2,12 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bucksim import (ConfigError, DomainError, StochConfig, StochPath, border_point,
                      crossing_probability, on_flow, on_hit_time, ou_step, parallel,
@@ -347,43 +350,60 @@ def test_engine_bytes_under_any_thread_count(p0, dc0, monkeypatch, threads):
             assert _batch_digest(res) == digest, (case, record_paths)
 
 
-def test_batch_memory_is_one_normal_array(p0, dc0):
-    # Without paths a batch holds its pre-drawn normals (B n doubles) and one
-    # period of bridge uniforms, not the uniforms of the whole horizon.
-    B, cfg = 64, StochConfig(epsilon=0.05, dt=1e-3, horizon=10, seed=3)
-    n = cfg.horizon * cfg.steps_per_unit()
+def _store_bytes(p, x0, cfg, B) -> int:
+    """Bytes of a batch's one store, B (T W + spu) doubles (_simulate_windows)."""
+    spu = cfg.steps_per_unit()
+    return B * (cfg.horizon * window_steps(p, x0, cfg) + spu) * 8
+
+
+def _traced_peak(p, x0, cfg, B, record_paths) -> int:
+    """tracemalloc peak of one batch, after a small batch has made the one-time allocations."""
+    simulate_batch(p, x0, replace(cfg, horizon=1), range(2), record_paths=record_paths)
     tracemalloc.start()
     try:
-        simulate_batch(p0, dc0.x_star, cfg, range(B), record_paths=False)
-        peak = tracemalloc.get_traced_memory()[1]
+        simulate_batch(p, x0, cfg, range(B), record_paths=record_paths)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * B * n * 8
+
+
+# A block's scratch is bounded, and the grid times and the passage records
+# grow with T, not with B: B large enough that they stay small next to the
+# store.
+MEMORY_B, MEMORY_T = 256, 20
+
+
+def test_batch_memory_is_one_normal_array(p0, dc0):
+    # Without paths a batch holds one store: each period's first W normals
+    # and one period of bridge uniforms, B (T W + spu) doubles, and its
+    # traced peak is that store within 5 %.
+    for eps in (0.1, 0.05):
+        cfg = StochConfig(epsilon=eps, dt=1e-3, horizon=MEMORY_T, seed=3)
+        store = _store_bytes(p0, dc0.x_star, cfg, MEMORY_B)
+        peak = _traced_peak(p0, dc0.x_star, cfg, MEMORY_B, record_paths=False)
+        assert store <= peak < 1.05 * store, (eps, peak / store)
 
 
 def test_batch_with_paths_writes_x_over_its_normals(p0, dc0):
-    # With paths a batch holds one store of B (n + 1) doubles, x written over
-    # the normals it was stepped with, plus one period of bridge uniforms; at
-    # eps = 0 without paths it holds nothing of size B n.
-    B = 64
-    for eps, record_paths, limit in ((0.05, True, 1.3), (0.0, False, 0.25)):
-        cfg = StochConfig(epsilon=eps, dt=1e-3, horizon=10, seed=3)
-        n = cfg.horizon * cfg.steps_per_unit()
-        tracemalloc.start()
-        try:
-            simulate_batch(p0, dc0.x_star, cfg, range(B), record_paths=record_paths)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < limit * B * n * 8, (eps, record_paths)
+    # With paths the batch writes x over the normals it was stepped with, so
+    # its traced peak is still its store within 5 %; at eps = 0 without paths
+    # it holds nothing of size B n.
+    for eps in (0.1, 0.05):
+        cfg = StochConfig(epsilon=eps, dt=1e-3, horizon=MEMORY_T, seed=3)
+        store = _store_bytes(p0, dc0.x_star, cfg, MEMORY_B)
+        peak = _traced_peak(p0, dc0.x_star, cfg, MEMORY_B, record_paths=True)
+        assert store <= peak < 1.05 * store, (eps, peak / store)
+    B, cfg = 64, StochConfig(epsilon=0.0, dt=1e-3, horizon=10, seed=3)
+    n = cfg.horizon * cfg.steps_per_unit()
+    assert _traced_peak(p0, dc0.x_star, cfg, B, record_paths=False) < 0.25 * B * n * 8
 
 
 @pytest.mark.parametrize("record_paths", [False, True], ids=["no-paths", "paths"])
 def test_batch_keeps_only_each_periods_window(p0, dc0, record_paths):
-    # At eps 0.01 on the orbit every phase passes within the first 461 of a
-    # period's 1000 steps, and the batch keeps only those normals and x
-    # values.  A store of whole periods peaks at about 1.05 (no paths) and
-    # 1.21 (paths) times B n doubles.
+    # At eps 0.01 on the orbit the window is the first 424 of a period's
+    # 1000 steps, and the batch keeps only those normals and x values.  A
+    # store of whole periods peaks at about 1.05 (no paths) and 1.21 (paths)
+    # times B n doubles.
     B, cfg = 64, StochConfig(epsilon=0.01, dt=1e-3, horizon=50, seed=3)
     n = cfg.horizon * cfg.steps_per_unit()
     tracemalloc.start()
@@ -392,9 +412,9 @@ def test_batch_keeps_only_each_periods_window(p0, dc0, record_paths):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.6 * B * n * 8
+    assert peak < 0.5 * B * n * 8
     if record_paths:
-        assert res.window.shape == (B, cfg.horizon, 461)
+        assert res.window.shape == (B, cfg.horizon, 424)
 
 
 def test_window_steps_rule(p0, dc0):
@@ -402,13 +422,14 @@ def test_window_steps_rule(p0, dc0):
     # longest deterministic ON phase from x0; W = spu once a deterministic
     # phase spans a clock pulse.
     s_inf = mistiming_sd(p0, dc0)
-    for eps, dt in ((0.01, 1e-3), (0.05, 1e-3), (0.0, 1e-2), (0.002, 1 / 7)):
+    for eps, dt in ((0.01, 1e-3), (0.05, 1e-3), (0.1, 1e-3), (0.0, 1e-2), (0.002, 1 / 7)):
         cfg = StochConfig(epsilon=eps, dt=dt, horizon=20)
         spu = cfg.steps_per_unit()
         expect = min(spu, math.ceil(spu * (dc0.t_star + WINDOW_SDS * eps * s_inf)) + 1)
         assert window_steps(p0, dc0.x_star, cfg) == expect < spu
-    assert window_steps(p0, dc0.x_star, StochConfig(epsilon=0.01, horizon=50)) == 461
-    for eps in (0.1, 1e300):
+    for eps, W in ((0.01, 424), (0.05, 536), (0.1, 676)):
+        assert window_steps(p0, dc0.x_star, StochConfig(epsilon=eps, horizon=50)) == W
+    for eps in (0.25, 1e300):
         assert window_steps(p0, dc0.x_star, StochConfig(epsilon=eps, horizon=10)) == 1000
     slow = StochConfig(epsilon=0.0, horizon=3)
     assert window_steps(p0, 0.5 * border_point(p0), slow) == slow.steps_per_unit()
@@ -431,12 +452,46 @@ def _spy_windows(monkeypatch) -> list[int]:
     return runs
 
 
+def _spy_generators(monkeypatch) -> list[int]:
+    """The replica id of every stream the engine builds, in call order."""
+    calls = []
+    real = stochastic.replica_generator
+
+    def spy(seed, replica, stream=0):
+        calls.append(replica)
+        return real(seed, replica, stream)
+
+    monkeypatch.setattr(stochastic, "replica_generator", spy)
+    return calls
+
+
+def _check_spills(res, ids, gens, noisy) -> set[int]:
+    """The rows of a batch's spilled replicas, checked against the streams it built.
+
+    Each replica's stream is built once for the fill and at most once more
+    for its spills.  With paths the rows with a spill record are the ones
+    (with noise) whose stream was built a second time.
+    """
+    spill_ids = gens[len(ids):] if noisy else []
+    assert sorted(gens[:len(ids)]) == (sorted(ids) if noisy else [])
+    assert len(set(spill_ids)) == len(spill_ids) <= len(ids)
+    rows = {list(ids).index(r) for r in spill_ids}
+    if res.spills is not None:
+        recorded = {b for b, s in enumerate(res.spills) if s}
+        assert not noisy or recorded == rows
+        rows = recorded
+    return rows
+
+
 @pytest.mark.parametrize("window", ["one-step", "below-passage"])
-def test_window_overflow_reruns_with_whole_periods(p0, dc0, monkeypatch, window):
-    # A phase still ON at its window's edge reruns the batch with W = spu,
-    # with the pinned bytes.  A window a few steps below the orbit's passage
-    # lets some replicas pass inside it before the rerun.
+def test_window_overflow_spills_to_the_periods_end(p0, dc0, monkeypatch, window):
+    # A phase still ON at its window's edge steps on to the period's end in
+    # the same pass, with normals re-drawn from its own stream, and the
+    # batch keeps the pinned bytes.  A window a few steps below the orbit's
+    # passage lets some replicas pass inside it before the others spill.
     runs = _spy_windows(monkeypatch)
+    gens = _spy_generators(monkeypatch)
+    spilled = 0
     for case, (kw, ids, below_border, with_paths, without_paths) in ENGINE_PINS.items():
         x0 = 0.5 * border_point(p0) if below_border else dc0.x_star
         cfg = StochConfig(**{"dt": 1e-3, **kw})
@@ -445,34 +500,82 @@ def test_window_overflow_reruns_with_whole_periods(p0, dc0, monkeypatch, window)
         monkeypatch.setattr(stochastic, "window_steps", lambda p, x0, cfg: W)
         for record_paths, digest in ((True, with_paths), (False, without_paths)):
             runs.clear()
+            gens.clear()
             res = simulate_batch(p0, x0, cfg, ids, record_paths=record_paths)
             assert _batch_digest(res) == digest, (case, record_paths)
-            assert runs == ([W, spu] if cfg.horizon else [W]), (case, record_paths)
+            assert runs == [W], (case, record_paths)
+            rows = _check_spills(res, ids, gens, cfg.epsilon > 0.0)
+            if not cfg.horizon:
+                assert not rows
+            elif window == "one-step" and (record_paths or cfg.epsilon > 0.0):
+                # No replica passes in its first step, so every one spills.
+                assert rows == set(range(len(ids))), (case, record_paths)
+            spilled += len(rows)
+    assert spilled
 
 
-def test_clock_spanning_phase_alone_reruns(p0, dc0, monkeypatch):
+def test_clock_spanning_phase_alone_spills(p0, dc0, monkeypatch):
     # A window that holds every in-period passage of the batch: the ON
-    # phases that span a clock pulse still force the rerun, bytes unchanged.
-    # Replicas ON at the horizon would force it too, so they are left out.
+    # phases that span a clock pulse still spill, and only theirs, bytes
+    # unchanged.  Replicas ON at the horizon would spill too, so they are
+    # left out.
     cfg = StochConfig(epsilon=0.3, dt=1e-2, horizon=8, seed=11)
     spu = cfg.steps_per_unit()
     ids = [k for k, s in enumerate(simulate_batch(p0, dc0.x_star, cfg, range(40)).schedules)
            if not s.partial_final_on]
     ref = simulate_batch(p0, dc0.x_star, cfg, ids)
-    in_period, spans = [], 0
-    for s, steps in zip(ref.schedules, ref.passage_steps):
+    in_period, spanning = [], set()
+    for b, (s, steps) in enumerate(zip(ref.schedules, ref.passage_steps)):
         assert not s.partial_final_on
         starts = np.concatenate([[0.0], s.sigmas[:-1]])
         inside = s.taus - starts < 1.0
-        spans += np.count_nonzero(~inside)
+        if not inside.all():
+            spanning.add(b)
         in_period.append(steps[inside] - np.rint(starts[inside] * spu).astype(np.int64))
     W = int(np.concatenate(in_period).max()) + 1
-    assert spans and W < spu
+    assert spanning and W < spu
     runs = _spy_windows(monkeypatch)
+    gens = _spy_generators(monkeypatch)
     monkeypatch.setattr(stochastic, "window_steps", lambda p, x0, cfg: W)
     res = simulate_batch(p0, dc0.x_star, cfg, ids)
-    assert runs == [W, spu]
+    assert runs == [W]
+    assert _check_spills(res, ids, gens, noisy=True) == spanning
     assert _batch_digest(res) == _batch_digest(ref)
+
+
+def test_spills_build_each_stream_at_most_twice(p0, dc0, monkeypatch):
+    # With a one-step window every replica spills in every period of a
+    # 20-period batch; each builds one spill stream for all of them, which
+    # moves on from where its last spill stopped.
+    ids = [3, 0, 8, 5]
+    for bridge in (True, False):
+        cfg = StochConfig(epsilon=0.05, dt=1e-2, horizon=20, seed=5, bridge_correction=bridge)
+        ref = simulate_batch(p0, dc0.x_star, cfg, ids)
+        with monkeypatch.context() as mp:
+            gens = _spy_generators(mp)
+            mp.setattr(stochastic, "window_steps", lambda p, x0, cfg: 1)
+            res = simulate_batch(p0, dc0.x_star, cfg, ids)
+        assert len(gens) <= 2 * len(ids)
+        assert _check_spills(res, ids, gens, noisy=True) == set(range(len(ids)))
+        assert [len(s) for s in res.spills] == [cfg.horizon] * len(ids)
+        assert _batch_digest(res) == _batch_digest(ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(W=st.integers(1, 100), bridge=st.booleans(), record_paths=st.booleans(),
+       slow_start=st.booleans())
+def test_any_window_gives_the_bytes_of_whole_periods(p0, dc0, W, bridge, record_paths,
+                                                     slow_start):
+    # The window sets only the batch's memory: any W in [1, spu] gives the
+    # bytes of W = spu, with passages inside and past it and phases that
+    # span a clock pulse.
+    x0 = 0.5 * border_point(p0) if slow_start else dc0.x_star
+    cfg = StochConfig(epsilon=0.3, dt=1e-2, horizon=5, seed=11, bridge_correction=bridge)
+    spu = cfg.steps_per_unit()
+    ids = [6, 1, 4, 9, 2, 7]
+    got = stochastic._simulate_windows(p0, x0, cfg, ids, record_paths, W)
+    ref = stochastic._simulate_windows(p0, x0, cfg, ids, record_paths, spu)
+    assert _batch_digest(got) == _batch_digest(ref)
 
 
 def test_path_accessor_needs_paths(p0, dc0):
@@ -548,7 +651,7 @@ def _replay(p, x0, cfg, res, b, replica) -> tuple[int, int]:
     pytest.param(dict(epsilon=0.3, dt=0.1), [4, 0, 9], id="0.3-0.1"),
     pytest.param(dict(epsilon=1e-6, dt=1 / 7), [4, 0, 9], id="1e-06-0.14285714285714285"),
     pytest.param(dict(epsilon=0.0, dt=1e-2), [4, 0, 9], id="0.0-0.01"),
-    # Bridge-heavy: the batch of test_clock_spanning_phase_alone_reruns.
+    # Bridge-heavy: the batch of test_clock_spanning_phase_alone_spills.
     pytest.param(dict(epsilon=0.3, dt=1e-2, horizon=8, seed=11, stream=0), range(40),
                  id="bridge-heavy"),
 ])
