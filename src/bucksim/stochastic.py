@@ -104,15 +104,15 @@ def crossing_probability(x1: float, x2: float, level: float, h: float, eps: floa
     return float(_bridge_probability(-(2.0 / var), np.array([level - x1]), level - x2)[0])
 
 
-def _bridge_probability(neg_inv_var, gap1, gap2):
+def _bridge_probability(neg_inv_var, gap1, gap2, out=None):
     """Bridge crossing probability of steps with endpoint gaps below the level.
 
     neg_inv_var is -2 / (eps^2 h).  Clamping the exponent at 0 gives 1 for
     an endpoint crossing, which the engine flags on its own, and keeps exp
     from overflowing.  The gaps are arrays; the result is computed in one
-    array of their shape.
+    array of their shape, out when given.
     """
-    e = np.multiply(neg_inv_var, gap1)
+    e = np.multiply(neg_inv_var, gap1, out=out)
     e *= gap2
     return np.exp(np.minimum(e, 0.0, out=e), out=e)
 
@@ -391,8 +391,8 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     B (T W + spu) doubles, with or without paths (the last spu columns only
     with the bridge test), plus spu - W per spilled replica-period: on the
     orbit at eps 0.01 and dt 1e-3, W = 424 of each period's 1000 steps.  A
-    block releases its scratch as it goes, so a block holds about three
-    arrays of its size at once.  The shared grid_t, n + 1 doubles, is built as
+    block's scratch is about three arrays of its size, two of them kept for
+    the batch.  The shared grid_t, n + 1 doubles, is built as
     floats and divided in place, so no integer copy of it sits on top of the
     store.
     """
@@ -441,9 +441,7 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     spills = [[] for _ in range(B)] if record_paths else None
     spill_gens: dict[int, tuple[np.random.Generator, int]] = {}
 
-    def spill(k: int, act: np.ndarray) -> np.ndarray | None:
-        if not (noisy or record_paths):
-            return None
+    def spill(k: int, act: np.ndarray) -> np.ndarray:
         spilled = np.empty((act.size, spu - W))
         start = k * spu + W  # stream index of the first normal a row takes
         for r, b in enumerate(act.tolist()):
@@ -457,6 +455,15 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
                 g.standard_normal(out=spilled[r])
                 spill_gens[b] = (g, start + spu - W)
         return spilled
+
+    # Two arrays serve every block: one holds its x, each step's row holding
+    # the step's scaled normal until the step is taken, the other its bridge
+    # probabilities.  L steps of A replicas take (L + 1) A <=
+    # max(BLOCK_ELEMENTS, B) + B elements.  The block's other arrays of its
+    # size, the gathers and the gaps, live one at a time, so malloc reuses
+    # their memory instead of returning it to the system and faulting it in
+    # again.
+    scratch = np.empty((2, max(BLOCK_ELEMENTS, B) + B))
 
     x = np.full(B, float(x0))   # state at the current node of every ON replica
     on = np.ones(B, dtype=bool)
@@ -485,30 +492,31 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
             L = min(max(BLOCK_ELEMENTS // act.size, 1), BLOCK_STEPS_MAX,
                     (W if j0 < W else spu) - j0)
             cols = slice(col0 + j0, col0 + j0 + L)
-            xb = np.empty((L + 1, act.size))
+            A = act.size
+            xb = scratch[0, :(L + 1) * A].reshape(L + 1, A)
             xb[0] = xa
             if noisy:
-                w = (buf[rows, cols] * sd).T
+                np.multiply(buf[rows, cols].T, sd, out=xb[1:])
+            else:
+                xb[1:] = 0.0
+            drift = np.empty(A)
             for j in range(L):
                 xm = xb[j + 1]
-                np.subtract(xb[j], m, out=xm)
-                np.multiply(xm, decay_on, out=xm)
-                np.add(xm, m, out=xm)
-                if noisy:
-                    np.add(xm, w[j], out=xm)
-            if noisy:
-                del w
+                np.subtract(xb[j], m, out=drift)
+                np.multiply(drift, decay_on, out=drift)
+                np.add(drift, m, out=drift)
+                np.add(drift, xm, out=xm)
             up = xb[1:] >= x_ref
             crossed = up
             if bridge:
                 gap = x_ref - xb
-                pb = _bridge_probability(neg_inv_var, gap[:-1], gap[1:])
+                pb = _bridge_probability(neg_inv_var, gap[:-1], gap[1:],
+                                         out=scratch[1, :L * A].reshape(L, A))
                 del gap
                 crossed = up | (uniforms[act, j0:j0 + L].T < pb)
-                del pb
             if record_paths:
                 # Values after a passage are replaced by the OFF fill when the
-                # path is read.  These columns held the normals gathered into w.
+                # path is read.  These columns held the normals gathered into xb.
                 buf[rows, cols] = xb[1:].T
             done = crossed.any(axis=0)
             c = np.flatnonzero(done)
@@ -539,7 +547,9 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
             on[restart] = True
             x[restart] = x_ref * np.exp(-a_off * (node - tau_last[restart]))
 
-    # Group the passages by replica; a stable sort keeps each replica's in time order.
+    # Group the passages by replica, with the block scratch and the streams
+    # released first; a stable sort keeps each replica's in time order.
+    scratch = gens = spill_gens = None
     rows, tau, step = (np.concatenate(e) if ev_rows else np.empty(0)
                        for e in (ev_rows, ev_tau, ev_step))
     order = np.argsort(rows, kind="stable")
