@@ -456,13 +456,11 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
                 spill_gens[b] = (g, start + spu - W)
         return spilled
 
-    # Two arrays serve every block: one holds its x, each step's row holding
-    # the step's scaled normal until the step is taken, the other its bridge
-    # probabilities.  L steps of A replicas take (L + 1) A <=
-    # max(BLOCK_ELEMENTS, B) + B elements.  The block's other arrays of its
-    # size, the gathers and the gaps, live one at a time, so malloc reuses
-    # their memory instead of returning it to the system and faulting it in
-    # again.
+    # Two arrays serve every block: its x, each row holding the step's scaled
+    # normal until the step is taken, and its bridge probabilities, at most
+    # (L + 1) A <= max(BLOCK_ELEMENTS, B) + B elements each.  The block's
+    # gathers and gaps live one at a time, so malloc reuses their memory
+    # rather than returning it to the system and faulting it in again.
     scratch = np.empty((2, max(BLOCK_ELEMENTS, B) + B))
 
     x = np.full(B, float(x0))   # state at the current node of every ON replica
