@@ -311,16 +311,16 @@ class BadEventTable:
     anomaly_count: int
     delta_within_dplus: bool  # the late-passage bound is only guaranteed below delta_plus
 
-    def dominance_ok(self) -> bool:
+    def _within_3_se(self, emp: np.ndarray, bound: np.ndarray) -> bool:
         """emp <= bound + 3 SE for every cycle (SE from the binomial count)."""
-        se = np.sqrt(self.emp_prob * (1.0 - self.emp_prob) / self.replicas)
-        return bool(np.all(self.emp_prob <= self.bound + 3.0 * se))
+        return bool(np.all(emp <= bound + 3.0 * np.sqrt(emp * (1.0 - emp) / self.replicas)))
+
+    def dominance_ok(self) -> bool:
+        return self._within_3_se(self.emp_prob, self.bound)
 
     def split_dominance_ok(self) -> tuple[bool, bool]:
-        se_m = np.sqrt(self.emp_minus * (1.0 - self.emp_minus) / self.replicas)
-        se_p = np.sqrt(self.emp_plus * (1.0 - self.emp_plus) / self.replicas)
-        return (bool(np.all(self.emp_minus <= self.bound_minus + 3.0 * se_m)),
-                bool(np.all(self.emp_plus <= self.bound_plus + 3.0 * se_p)))
+        return (self._within_3_se(self.emp_minus, self.bound_minus),
+                self._within_3_se(self.emp_plus, self.bound_plus))
 
 
 def _bad_event_table(dc: DerivedConstants, cfg: McConfig, eps: float,

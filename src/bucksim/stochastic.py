@@ -390,11 +390,14 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     kinds equal one draw of the whole horizon.  So a batch holds
     B (T W + spu) doubles, with or without paths (the last spu columns only
     with the bridge test), plus spu - W per spilled replica-period: on the
-    orbit at eps 0.01 and dt 1e-3, W = 424 of each period's 1000 steps.  A
-    block's scratch is about three arrays of its size, two of them kept for
-    the batch.  The shared grid_t, n + 1 doubles, is built as
-    floats and divided in place, so no integer copy of it sits on top of the
-    store.
+    orbit at eps 0.01 and dt 1e-3, W = 424 of each period's 1000 steps.
+    Each passage is written once, into replica b's row of a record of taus
+    and grid steps that its Schedule.taus and passage_steps view.  A replica
+    passes at most once a period (restarts fall on integer nodes), so the
+    record is B T (8 + 8) bytes, more than the store's B T W doubles only at
+    spu = 1 (W = 1).  A block's scratch is about three arrays of its size,
+    two kept for the batch.  The shared grid_t, n + 1 doubles, is built as
+    floats and divided in place, so no integer copy sits on top of the store.
     """
     spu = cfg.steps_per_unit()
     horizon = int(cfg.horizon)
@@ -466,10 +469,10 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     x = np.full(B, float(x0))   # state at the current node of every ON replica
     on = np.ones(B, dtype=bool)
     tau_last = np.full(B, np.nan)
-    # Passages in time order: replica rows, tau, grid step of the passage.
-    ev_rows: list[np.ndarray] = []
-    ev_tau: list[np.ndarray] = []
-    ev_step: list[np.ndarray] = []
+    # Replica b's k-th passage, k < count[b], is taus[b, k] at grid step steps[b, k].
+    taus = np.empty((B, horizon))
+    steps = np.empty((B, horizon), dtype=np.int64)
+    count = np.zeros(B, dtype=np.int64)
 
     for k in range(horizon):
         base = k * spu
@@ -529,9 +532,10 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
                 den = np.maximum(xb[ju + 1, cu] - xb[ju, cu], 1e-300)
                 tv[hit] = t0[hit] + h * ((x_ref - xb[ju, cu]) / den)
             ended = act[c]
-            ev_rows.append(ended)
-            ev_tau.append(tv)
-            ev_step.append(base + j0 + jc)
+            at = count[ended]
+            taus[ended, at] = tv
+            steps[ended, at] = base + j0 + jc
+            count[ended] = at + 1
             on[ended] = False
             tau_last[ended] = tv
             keep = ~done
@@ -545,19 +549,12 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
             on[restart] = True
             x[restart] = x_ref * np.exp(-a_off * (node - tau_last[restart]))
 
-    # Group the passages by replica, with the block scratch and the streams
-    # released first; a stable sort keeps each replica's in time order.
-    scratch = gens = spill_gens = None
-    rows, tau, step = (np.concatenate(e) if ev_rows else np.empty(0)
-                       for e in (ev_rows, ev_tau, ev_step))
-    order = np.argsort(rows, kind="stable")
-    bounds = np.searchsorted(rows[order], np.arange(1, B))
-    taus, steps = np.split(tau[order], bounds), np.split(step[order], bounds)
+    scratch = gens = spill_gens = None  # freed before grid_t is built
     # A replica's last ON phase begins at its last restart, or at 0, and
     # has no passage; one begun before the horizon is still ON there.
-    last_restart = [math.floor(t[-1]) + 1 if len(t) else 0 for t in taus]
-    schedules = [Schedule(taus=t, partial_final_on=r < horizon)
-                 for t, r in zip(taus, last_restart)]
+    partial = (np.where(count > 0, np.floor(tau_last) + 1.0, 0.0) < horizon).tolist()
+    taus, steps = ([row[:c] for row, c in zip(rec, count.tolist())] for rec in (taus, steps))
+    schedules = [Schedule(taus=t, partial_final_on=f) for t, f in zip(taus, partial)]
     # Without paths this frees the draws before grid_t; the window keeps the store.
     window = store[:, :win].reshape(B, horizon, W) if record_paths else None
     store = uniforms = None

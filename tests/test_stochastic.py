@@ -165,7 +165,10 @@ def test_partial_final_cycle_truncation(p0):
 def test_partial_final_on_follows_the_last_restart(p0, dc0):
     # No phase begins before a horizon of 0.
     cfg = StochConfig(epsilon=0.1, horizon=0)
-    assert not simulate_batch(p0, dc0.x_star, cfg, [0]).schedules[0].partial_final_on
+    res = simulate_batch(p0, dc0.x_star, cfg, [0])
+    assert not res.schedules[0].partial_final_on
+    # Its passage steps are int64, as in every other batch.
+    assert res.passage_steps[0].dtype == np.int64
     # A slow first passage restarts exactly at the horizon: that phase
     # begins at the horizon, not before it.
     cfg = StochConfig(epsilon=0.0, horizon=2)
@@ -367,9 +370,9 @@ def _traced_peak(p, x0, cfg, B, record_paths) -> int:
         tracemalloc.stop()
 
 
-# A block's scratch is bounded, and the grid times and the passage records
-# grow with T, not with B: B large enough that they stay small next to the
-# store.
+# A block's scratch is bounded, and the grid times grow with T, not with B:
+# B large enough that they stay small next to the store.  The passage record
+# grows with B T, at 16 B per replica-period beside the store's 8 W.
 MEMORY_B, MEMORY_T = 256, 20
 
 
@@ -396,6 +399,17 @@ def test_batch_with_paths_writes_x_over_its_normals(p0, dc0):
     B, cfg = 64, StochConfig(epsilon=0.0, dt=1e-3, horizon=10, seed=3)
     n = cfg.horizon * cfg.steps_per_unit()
     assert _traced_peak(p0, dc0.x_star, cfg, B, record_paths=False) < 0.25 * B * n * 8
+
+
+@pytest.mark.parametrize("record_paths", [False, True], ids=["no-paths", "paths"])
+def test_long_horizon_batch_holds_its_store_and_passage_record(p0, dc0, record_paths):
+    # The long-horizon workload's batch shape: each passage is written once,
+    # so the traced peak is the store plus about 16 B per replica-period,
+    # with no regroup of the passages after the period loop.
+    B, cfg = 128, StochConfig(epsilon=0.01, dt=1e-3, horizon=100, seed=3)
+    store = _store_bytes(p0, dc0.x_star, cfg, B)
+    peak = _traced_peak(p0, dc0.x_star, cfg, B, record_paths=record_paths)
+    assert store <= peak < 1.04 * store, peak / store
 
 
 @pytest.mark.parametrize("record_paths", [False, True], ids=["no-paths", "paths"])
