@@ -404,8 +404,8 @@ def test_batch_with_paths_writes_x_over_its_normals(p0, dc0):
 @pytest.mark.parametrize("record_paths", [False, True], ids=["no-paths", "paths"])
 def test_long_horizon_batch_holds_its_store_and_passage_record(p0, dc0, record_paths):
     # The long-horizon workload's batch shape: each passage is written once,
-    # so the traced peak is the store plus about 16 B per replica-period,
-    # with no regroup of the passages after the period loop.
+    # into the passage record, so the traced peak is the store plus about
+    # 16 B per replica-period and a block's scratch.
     B, cfg = 128, StochConfig(epsilon=0.01, dt=1e-3, horizon=100, seed=3)
     store = _store_bytes(p0, dc0.x_star, cfg, B)
     peak = _traced_peak(p0, dc0.x_star, cfg, B, record_paths=record_paths)
