@@ -118,10 +118,10 @@ class DetPath:
     seg_mode: np.ndarray      # int, per segment
     seg_anchor_x: np.ndarray  # x at each segment start
     end_state: tuple[float, int]
-    # Per grid step: the path on the uniform distance grid and at its own
-    # jump times, shared by every distance bound against it (see
+    # The path on the uniform distance grid and at its own jump times, set by
+    # the first distance bound against it and shared by every later one (see
     # skorokhod._on_uniform_grid).
-    grid_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    grid_memo: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def horizon(self) -> float:

@@ -58,11 +58,10 @@ class Violation:
 
     name: str
     lhs: float
-    rhs: float
-    relation: str  # "<" in the direction that should have held
+    rhs: float  # the inequality that should have held is lhs < rhs
 
     def __str__(self) -> str:
-        return f"{self.name}: requires {self.lhs:.6g} {self.relation} {self.rhs:.6g}"
+        return f"{self.name}: requires {self.lhs:.6g} < {self.rhs:.6g}"
 
 
 @dataclass(frozen=True)
@@ -102,22 +101,22 @@ def validate_params(p: ConverterParams) -> ParamCheck:
 
     violations = []
     if not p.alpha_on < LOG2:
-        violations.append(Violation("alpha_on < log 2", p.alpha_on, LOG2, "<"))
+        violations.append(Violation("alpha_on < log 2", p.alpha_on, LOG2))
     beta_lo = 2.0 * p.x_ref * p.alpha_on
     if not beta_lo < p.beta:
-        violations.append(Violation("beta lower bound", beta_lo, p.beta, "<"))
+        violations.append(Violation("beta lower bound", beta_lo, p.beta))
     # a e^a / (e^a - 1) through expm1, so a tiny alpha_on gives x_ref, not 0 / 0.
     beta_hi = p.x_ref * math.exp(p.alpha_on) * (p.alpha_on / math.expm1(p.alpha_on))
     if not p.beta < beta_hi:
-        violations.append(Violation("beta upper bound", p.beta, beta_hi, "<"))
+        violations.append(Violation("beta upper bound", p.beta, beta_hi))
     if not p.alpha_on < p.alpha_off:
-        violations.append(Violation("alpha_off lower bound", p.alpha_on, p.alpha_off, "<"))
+        violations.append(Violation("alpha_off lower bound", p.alpha_on, p.alpha_off))
     off_hi = ((p.beta / p.alpha_on - p.x_ref) / p.x_ref) * p.alpha_on
     if not p.alpha_off < off_hi:
-        violations.append(Violation("alpha_off upper bound", p.alpha_off, off_hi, "<"))
+        violations.append(Violation("alpha_off upper bound", p.alpha_off, off_hi))
     # Implied by the beta lower bound; checked independently.
     if not p.x_ref < p.beta / p.alpha_on:
-        violations.append(Violation("x_ref < beta/alpha_on", p.x_ref, p.beta / p.alpha_on, "<"))
+        violations.append(Violation("x_ref < beta/alpha_on", p.x_ref, p.beta / p.alpha_on))
 
     return ParamCheck(not violations, tuple(violations), ())
 

@@ -13,8 +13,8 @@ of an explicit candidate deformation (identity, or the piecewise-linear
 alignment of two switching Schedules, align_schedules).  The brute-force
 reference that the tests compare these bounds against lives in
 tests/oracles.py.  The continuous part of the state mismatch is resolved
-on a grid (step GRID_STEP = 1e-3 by default), so a bound can fall short of
-the candidate's true value, by at most about 4-5 % on the reference sweeps.
+on a grid of step GRID_STEP = 1e-3, so a bound can fall short of the
+candidate's true value, by at most about 4-5 % on the reference sweeps.
 
 A bound evaluates the second path at the deformed grid and at the jump
 points, and the first path only at the preimages of the second path's
@@ -47,7 +47,7 @@ from .errors import DomainError, check_grid_size
 # does not grow with the horizon (a 10 001-point grid is one chunk).
 CHUNK_POINTS = 2 ** 14
 
-# Step of the uniform distance grid; the sweep and the CLI always use it.
+# Step of the uniform distance grid, the only one a bound uses.
 GRID_STEP = 1e-3
 
 
@@ -124,50 +124,51 @@ def align_schedules(det: Schedule, stoch: Schedule,
 class DistanceBound:
     """Path-distance bound of one candidate deformation, grid-resolved in x.
 
-    bound = max(gamma, sup_r), where gamma is the deformation distortion and
-    sup_r the state mismatch maximized over the evaluation points.  The sup
-    is exact in the mode component (all jump times and their preimages are
-    evaluation points) and grid-resolved in the continuous component, so it
+    gamma is the deformation distortion and sup_r the state mismatch
+    maximized over the evaluation points.  The sup is exact in the mode
+    component (all jump times and their preimages are evaluation points)
+    and resolved on the GRID_STEP grid in the continuous component, so it
     may underestimate the candidate's continuous mismatch slightly.
     """
 
     gamma: float
     sup_r: float
-    bound: float
+
+    @property
+    def bound(self) -> float:
+        """max(gamma, sup_r), keeping a NaN (Python's max(0.0, nan) is 0.0)."""
+        return float(np.maximum(self.gamma, self.sup_r))
 
 
-def distance_grid_nodes(horizon: float, grid_step: float = GRID_STEP) -> int:
-    """Nodes of the uniform distance grid over [0, horizon]; checked against the grid cap.
-
-    Raises DomainError unless grid_step is finite and positive.
-    """
-    if not (math.isfinite(grid_step) and grid_step > 0.0):
-        raise DomainError(f"distance grid step {grid_step!r} must be finite and > 0")
-    span = horizon / grid_step
+def distance_grid_nodes(horizon: float) -> int:
+    """Nodes of the uniform distance grid over [0, horizon]; checked against the grid cap."""
+    span = horizon / GRID_STEP
     check_grid_size(span + 1, "distance evaluation grid", "use a shorter horizon")
     return max(1, int(math.ceil(span))) + 1
 
 
-def _on_uniform_grid(z, grid_step: float) -> tuple[np.ndarray, ...]:
+def _on_uniform_grid(z) -> tuple[np.ndarray, ...]:
     """z on the uniform distance grid and at its own jump times in [0, T].
 
     Returns (grid, x, y, jump times, x, y); memoised on a DetPath, the z1
     of every bound in a sweep.  z.eval runs CHUNK_POINTS grid points at a
     time into the memo's arrays, so its scratch does not grow with T.
     """
-    memo = z.grid_memo if isinstance(z, DetPath) else {}
-    if grid_step not in memo:
-        grid = np.linspace(0.0, z.horizon, distance_grid_nodes(z.horizon, grid_step))
+    memo = z.grid_memo if isinstance(z, DetPath) else None
+    if memo is None:
+        grid = np.linspace(0.0, z.horizon, distance_grid_nodes(z.horizon))
         gx, gy = np.empty(len(grid)), np.empty(len(grid), dtype=np.int8)
         for lo in range(0, len(grid), CHUNK_POINTS):
             part = slice(lo, lo + CHUNK_POINTS)
             gx[part], gy[part] = z.eval(grid[part])
         jumps = np.asarray(z.jump_times, dtype=float)
         jumps = jumps[(jumps >= 0.0) & (jumps <= z.horizon)]
-        memo[grid_step] = (grid, gx, gy, jumps, *z.eval(jumps))
-        for a in memo[grid_step]:
+        memo = (grid, gx, gy, jumps, *z.eval(jumps))
+        for a in memo:
             a.setflags(write=False)  # shared by every later call
-    return memo[grid_step]
+        if isinstance(z, DetPath):
+            object.__setattr__(z, "grid_memo", memo)  # DetPath is frozen
+    return memo
 
 
 def _state_gaps(x1, y1, x2, y2) -> np.ndarray:
@@ -182,11 +183,10 @@ def _state_gaps(x1, y1, x2, y2) -> np.ndarray:
     return np.hypot(r, 1.0, out=r, where=y1 != y2)
 
 
-def skorokhod_upper_bound(z1, z2, lam: TimeDeformation,
-                          grid_step: float = GRID_STEP) -> DistanceBound:
+def skorokhod_upper_bound(z1, z2, lam: TimeDeformation) -> DistanceBound:
     """Distance bound from one explicit candidate deformation.
 
-    Evaluation points: a uniform grid of the given step over [0, T], all
+    Evaluation points: the uniform grid of step GRID_STEP over [0, T], all
     jump times of z1, and the lam-preimages of all jump times of z2; the
     0-or-1 mode mismatch is therefore captured exactly.  z2 is evaluated
     twice, at the grid and at the jump points; z1 only at the preimages,
@@ -197,7 +197,7 @@ def skorokhod_upper_bound(z1, z2, lam: TimeDeformation,
     T = z1.horizon
     if abs(z2.horizon - T) > 1e-9 or abs(lam.horizon - T) > 1e-9:
         raise DomainError("skorokhod_upper_bound: horizons must match")
-    grid, gx1, gy1, j1, jx1, jy1 = _on_uniform_grid(z1, grid_step)
+    grid, gx1, gy1, j1, jx1, jy1 = _on_uniform_grid(z1)
     # lam.inverse() at z2's jumps, without building the inverse.
     j2 = np.interp(np.asarray(z2.jump_times, dtype=float), lam.knots_v, lam.knots_t)
     j2 = j2[(j2 >= 0.0) & (j2 <= T)]
@@ -213,5 +213,4 @@ def skorokhod_upper_bound(z1, z2, lam: TimeDeformation,
     at_jumps = _state_gaps(np.concatenate([jx1, px1]), np.concatenate([jy1, py1]),
                            *z2.eval(np.clip(lam(jumps), 0.0, T))).max(initial=0.0)
     sup_r = float(np.maximum(on_grid, at_jumps))  # a NaN gap propagates
-    gamma = lam.distortion()
-    return DistanceBound(gamma=gamma, sup_r=sup_r, bound=max(gamma, sup_r))
+    return DistanceBound(gamma=lam.distortion(), sup_r=sup_r)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bucksim import DomainError, TimeDeformation, skorokhod_upper_bound
-from bucksim.skorokhod import GRID_STEP, DistanceBound
+from bucksim.skorokhod import DistanceBound
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,15 @@ class WarpedPath:
         return out
 
 
-def skorokhod_uniform(z1, z2, grid_step: float = GRID_STEP) -> DistanceBound:
+def skorokhod_uniform(z1, z2) -> DistanceBound:
     """The uniform-metric bound (identity deformation)."""
-    return skorokhod_upper_bound(z1, z2, TimeDeformation.identity(z1.horizon),
-                                 grid_step=grid_step)
+    return skorokhod_upper_bound(z1, z2, TimeDeformation.identity(z1.horizon))
 
 
 MAX_BRUTEFORCE_HORIZON = 3.0
 MAX_BRUTEFORCE_JUMPS = 4
-# The oracle's candidate images per jump, its distance grid step and its
-# rounds of coordinate descent.
+# The oracle's candidate images per jump and its rounds of coordinate descent.
 BRUTEFORCE_CANDIDATES = 9
-BRUTEFORCE_GRID_STEP = 2e-3
 BRUTEFORCE_REFINE_ROUNDS = 40
 
 
@@ -81,12 +78,12 @@ def skorokhod_bruteforce(z1, z2) -> DistanceBound:
     if T > MAX_BRUTEFORCE_HORIZON + 1e-9 or max(len(a), len(b)) > MAX_BRUTEFORCE_JUMPS:
         raise DomainError("skorokhod_bruteforce: instance too large for the oracle")
     if len(a) != len(b) or len(a) == 0:
-        return skorokhod_uniform(z1, z2, grid_step=BRUTEFORCE_GRID_STEP)
+        return skorokhod_uniform(z1, z2)
 
     def bound_for(images: np.ndarray) -> float:
         lam = TimeDeformation(np.concatenate([[0.0], a, [T]]),
                               np.concatenate([[0.0], images, [T]]))
-        return skorokhod_upper_bound(z1, z2, lam, grid_step=BRUTEFORCE_GRID_STEP).bound
+        return skorokhod_upper_bound(z1, z2, lam).bound
 
     fences = np.concatenate([[0.0], b, [T]])
     spans = 0.45 * np.minimum(np.diff(fences)[:-1], np.diff(fences)[1:])
@@ -130,7 +127,7 @@ def skorokhod_bruteforce(z1, z2) -> DistanceBound:
 
     lam = TimeDeformation(np.concatenate([[0.0], a, [T]]),
                           np.concatenate([[0.0], images, [T]]))
-    out = skorokhod_upper_bound(z1, z2, lam, grid_step=BRUTEFORCE_GRID_STEP)
+    out = skorokhod_upper_bound(z1, z2, lam)
     # identity is always admissible; never report worse than it
-    ident = skorokhod_uniform(z1, z2, grid_step=BRUTEFORCE_GRID_STEP)
+    ident = skorokhod_uniform(z1, z2)
     return ident if ident.bound < out.bound else out

@@ -75,7 +75,7 @@ def test_validate_bad_beta_names_violation(cfg_file, capsys):
     rc = main(["validate", "--config", cfg_file, "--set", "beta=0.9"])
     out = capsys.readouterr().out
     assert rc == 3
-    assert "beta lower bound" in out
+    assert "violation: beta lower bound: requires 1 < 0.9\n" in out
 
 
 def test_missing_required_key_is_config_error(tmp_path, capsys):

@@ -10,8 +10,7 @@ from bucksim import (DomainError, StochConfig, TimeDeformation,
                      skorokhod_upper_bound)
 from bucksim import parallel, skorokhod
 from bucksim.deterministic import Schedule
-from oracles import (BRUTEFORCE_GRID_STEP, WarpedPath, skorokhod_bruteforce,
-                     skorokhod_uniform)
+from oracles import WarpedPath, skorokhod_bruteforce, skorokhod_uniform
 
 
 def _det_schedule(dc0, T):
@@ -216,7 +215,7 @@ def test_bruteforce_mismatched_jump_counts_falls_back(p0, dc0):
     z1 = simulate_det(p0, (dc0.x_star, 1), 2)
     z2 = _ConstPath(dc0.x_star, horizon=2.0)
     bnd = skorokhod_bruteforce(z1, z2)
-    assert bnd == skorokhod_uniform(z1, z2, grid_step=BRUTEFORCE_GRID_STEP)
+    assert bnd == skorokhod_uniform(z1, z2)
     assert bnd.bound >= 1.0
 
 
@@ -232,23 +231,22 @@ def _bound_digest(bounds) -> str:
 # identity and, where it exists, the aligning deformation; "stoch" bounds
 # replica b against replica b + 1 (a StochPath as z1, so no grid memo) and
 # "warped" the orbit against a warped view of each replica, both under the
-# identity and a fixed three-knot deformation.  The digests were recorded
-# with the bound that evaluated both paths at one concatenated array of
-# grid and jump points.
+# identity and a fixed three-knot deformation.  "slow-passages" bounds a
+# dt = 0.1 path on the finer distance grid.  The digests of "det-dt",
+# "stoch-z1" and "horizon-1" were recorded with the bound that evaluated
+# both paths at one concatenated array of grid and jump points; those of
+# "warped-z2" and "slow-passages" with the chunked bound, when it still took
+# a grid step, called at step 1e-3 = GRID_STEP.
 BOUND_PINS = {
-    "det-dt": ("det", dict(epsilon=0.05, horizon=5, seed=7), 16, 1e-3,
+    "det-dt": ("det", dict(epsilon=0.05, horizon=5, seed=7), 16,
                "917b63e7018fe488fdfa627aabc357ba83c384279823f3e3911ce42f9e89b639"),
-    "det-7e-3": ("det", dict(epsilon=0.05, horizon=5, seed=7), 16, 7e-3,
-                 "a21e09558665584de20ef05bc040fc380a03a6225073081a9a9f721304b7aa4e"),
-    "det-coarse": ("det", dict(epsilon=0.05, horizon=5, seed=7), 16, 0.7,
-                   "1d6080c6db065ce307245d62d67a3311bceb1ba62a1d567c3dd519e6d29685b5"),
-    "stoch-z1": ("stoch", dict(epsilon=0.05, horizon=3, seed=5), 8, 1e-3,
+    "stoch-z1": ("stoch", dict(epsilon=0.05, horizon=3, seed=5), 8,
                  "87af24670860ee56aa15b5edd44420cfeb4a0558b53ccf5d5b9cf4525d3795df"),
-    "warped-z2": ("warped", dict(epsilon=0.05, horizon=3, seed=5), 8, 7e-3,
-                  "fc8922b9f1c23b0db999d5918171577d479ca43e15ea7fc9d9b9ebcdca6fdc1e"),
-    "slow-passages": ("det", dict(dt=0.1, epsilon=0.3, horizon=6, seed=12), 40, 0.1,
-                      "7d826d509947b9c2e2a8a9b6521c09a45dd84ebc4bc5082fd510c9769b20a011"),
-    "horizon-1": ("det", dict(epsilon=0.05, horizon=1, seed=4), 16, 1e-3,
+    "warped-z2": ("warped", dict(epsilon=0.05, horizon=3, seed=5), 8,
+                  "a75176b2aedeb9c2adfd8cd8e262c420f7d0eba86ecec88d37c7365cb12ebb41"),
+    "slow-passages": ("det", dict(dt=0.1, epsilon=0.3, horizon=6, seed=12), 40,
+                      "fa612eccd04165367f2145d20e17f7bee3d2bc6c9450b71159687e722cb43bce"),
+    "horizon-1": ("det", dict(epsilon=0.05, horizon=1, seed=4), 16,
                   "fc4c4dcc98e1ae85304e95d0cc0ea05f1af44dd8a16c4f72d18807fb2fb4b7ed"),
 }
 
@@ -302,12 +300,12 @@ def test_nan_gap_in_any_part_gives_nan_sup(monkeypatch):
             x[np.asarray(q) == self.at] = np.nan
             return x, y
 
-    grid = np.linspace(0.0, 1.0, 101)
-    for at in grid[[0, 40, 55, 100]]:  # the first chunk, middle chunks, the last one
-        bnd = skorokhod_uniform(_ConstPath(0.2), _NanAt(0.25, at), grid_step=0.01)
-        assert math.isnan(bnd.sup_r)
-    assert skorokhod_uniform(_ConstPath(0.2), _ConstPath(0.25), grid_step=0.01).sup_r == (
-        pytest.approx(0.05))
+    # The bound is NaN too: Python's max(0.0, nan) is 0.0.
+    grid = np.linspace(0.0, 1.0, skorokhod.distance_grid_nodes(1.0))
+    for at in grid[[0, 400, 550, 1000]]:  # the first chunk, middle chunks, the last one
+        bnd = skorokhod_uniform(_ConstPath(0.2), _NanAt(0.25, at))
+        assert math.isnan(bnd.sup_r) and math.isnan(bnd.bound)
+    assert skorokhod_uniform(_ConstPath(0.2), _ConstPath(0.25)).sup_r == pytest.approx(0.05)
 
 
 def _traced_peak(fn) -> int:
@@ -347,13 +345,13 @@ def test_orbit_memo_peaks_at_its_arrays_plus_one_chunk(p0, dc0):
         chunk = np.linspace(0.0, 1.0, skorokhod.CHUNK_POINTS)
         one_chunk = _traced_peak(lambda: det.eval(chunk))
         memo = []
-        peak = _traced_peak(lambda: memo.extend(skorokhod._on_uniform_grid(det, 1e-3)))
+        peak = _traced_peak(lambda: memo.extend(skorokhod._on_uniform_grid(det)))
         own = sum(a.nbytes for a in memo)
         assert own < peak <= own + one_chunk + 4096, (T, own, peak, one_chunk)
 
 
 def _check_bound_pin(p0, dc0, case):
-    pair, kw, replicas, grid_step, digest = BOUND_PINS[case]
+    pair, kw, replicas, digest = BOUND_PINS[case]
     cfg = StochConfig(**{"dt": 1e-3, **kw})
     T = float(cfg.horizon)
     det = simulate_det(p0, (dc0.x_star, 1), cfg.horizon)
@@ -376,7 +374,7 @@ def _check_bound_pin(p0, dc0, case):
                 z1, z2 = z2, paths[(b + 1) % replicas]
             else:
                 z1, z2 = det, WarpedPath(z2, warp)
-        bounds += [skorokhod_upper_bound(z1, z2, lam, grid_step=grid_step) for lam in lams]
+        bounds += [skorokhod_upper_bound(z1, z2, lam) for lam in lams]
     assert _bound_digest(bounds) == digest
     if pair == "det":
         assert aligned  # the aligning deformation is bounded next to the identity
@@ -421,19 +419,6 @@ def test_identity_deformation_maps_the_grid_onto_itself():
     from bucksim.skorokhod import distance_grid_nodes
     for T in range(1, 101):
         lam = TimeDeformation.identity(float(T))
-        for step in (1e-3, 7e-3, 1 / 7, 0.7, 5.0):
-            grid = np.linspace(0.0, float(T), distance_grid_nodes(float(T), step))
-            image = np.clip(lam(grid), 0.0, float(T))
-            assert np.array_equal(image.view(np.uint64), grid.view(np.uint64))
-
-
-@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
-def test_invalid_distance_grid_step_is_refused(p0, dc0, step):
-    # A non-positive or non-finite step has no grid: no 2-node grid, no
-    # division by zero and no grid-cap message.
-    from bucksim.skorokhod import distance_grid_nodes
-    with pytest.raises(DomainError, match="grid step"):
-        distance_grid_nodes(2.0, step)
-    z1 = simulate_det(p0, (dc0.x_star, 1), 2)
-    with pytest.raises(DomainError, match="grid step"):
-        skorokhod_upper_bound(z1, z1, TimeDeformation.identity(2.0), grid_step=step)
+        grid = np.linspace(0.0, float(T), distance_grid_nodes(float(T)))
+        image = np.clip(lam(grid), 0.0, float(T))
+        assert np.array_equal(image.view(np.uint64), grid.view(np.uint64))

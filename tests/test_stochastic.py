@@ -359,13 +359,16 @@ def _store_bytes(p, x0, cfg, B) -> int:
     return B * (cfg.horizon * window_steps(p, x0, cfg) + spu) * 8
 
 
-def _traced_peak(p, x0, cfg, B, record_paths) -> int:
-    """tracemalloc peak of one batch, after a small batch has made the one-time allocations."""
+def _traced_peak(p, x0, cfg, B, record_paths):
+    """tracemalloc peak of one batch, and the batch.
+
+    A small batch first makes the one-time allocations.
+    """
     simulate_batch(p, x0, replace(cfg, horizon=1), range(2), record_paths=record_paths)
     tracemalloc.start()
     try:
-        simulate_batch(p, x0, cfg, range(B), record_paths=record_paths)
-        return tracemalloc.get_traced_memory()[1]
+        res = simulate_batch(p, x0, cfg, range(B), record_paths=record_paths)
+        return tracemalloc.get_traced_memory()[1], res
     finally:
         tracemalloc.stop()
 
@@ -376,59 +379,37 @@ def _traced_peak(p, x0, cfg, B, record_paths) -> int:
 MEMORY_B, MEMORY_T = 256, 20
 
 
-def test_batch_memory_is_one_normal_array(p0, dc0):
-    # Without paths a batch holds one store: each period's first W normals
-    # and one period of bridge uniforms, B (T W + spu) doubles, and its
-    # traced peak is that store within 5 %.
+@pytest.mark.parametrize("record_paths", [False, True], ids=["no-paths", "paths"])
+def test_batch_peak_is_its_store(p0, dc0, record_paths):
+    # A batch holds one store: each period's first W normals and one period
+    # of bridge uniforms, B (T W + spu) doubles; with paths it writes x over
+    # the normals it was stepped with.  Either way its traced peak is that
+    # store within 5 %.
     for eps in (0.1, 0.05):
         cfg = StochConfig(epsilon=eps, dt=1e-3, horizon=MEMORY_T, seed=3)
         store = _store_bytes(p0, dc0.x_star, cfg, MEMORY_B)
-        peak = _traced_peak(p0, dc0.x_star, cfg, MEMORY_B, record_paths=False)
+        peak, _ = _traced_peak(p0, dc0.x_star, cfg, MEMORY_B, record_paths=record_paths)
         assert store <= peak < 1.05 * store, (eps, peak / store)
-
-
-def test_batch_with_paths_writes_x_over_its_normals(p0, dc0):
-    # With paths the batch writes x over the normals it was stepped with, so
-    # its traced peak is still its store within 5 %; at eps = 0 without paths
-    # it holds nothing of size B n.
-    for eps in (0.1, 0.05):
-        cfg = StochConfig(epsilon=eps, dt=1e-3, horizon=MEMORY_T, seed=3)
-        store = _store_bytes(p0, dc0.x_star, cfg, MEMORY_B)
-        peak = _traced_peak(p0, dc0.x_star, cfg, MEMORY_B, record_paths=True)
-        assert store <= peak < 1.05 * store, (eps, peak / store)
-    B, cfg = 64, StochConfig(epsilon=0.0, dt=1e-3, horizon=10, seed=3)
-    n = cfg.horizon * cfg.steps_per_unit()
-    assert _traced_peak(p0, dc0.x_star, cfg, B, record_paths=False) < 0.25 * B * n * 8
+    if not record_paths:
+        # At eps = 0 without paths it holds nothing of size B n.
+        B, cfg = 64, StochConfig(epsilon=0.0, dt=1e-3, horizon=10, seed=3)
+        n = cfg.horizon * cfg.steps_per_unit()
+        assert _traced_peak(p0, dc0.x_star, cfg, B, record_paths=False)[0] < 0.25 * B * n * 8
 
 
 @pytest.mark.parametrize("record_paths", [False, True], ids=["no-paths", "paths"])
 def test_long_horizon_batch_holds_its_store_and_passage_record(p0, dc0, record_paths):
     # The long-horizon workload's batch shape: each passage is written once,
     # into the passage record, so the traced peak is the store plus about
-    # 16 B per replica-period and a block's scratch.
+    # 16 B per replica-period and a block's scratch.  The batch keeps only
+    # each period's window of normals and x values (at eps 0.01 on the orbit
+    # the first 424 of a period's 1000 steps).
     B, cfg = 128, StochConfig(epsilon=0.01, dt=1e-3, horizon=100, seed=3)
     store = _store_bytes(p0, dc0.x_star, cfg, B)
-    peak = _traced_peak(p0, dc0.x_star, cfg, B, record_paths=record_paths)
+    peak, res = _traced_peak(p0, dc0.x_star, cfg, B, record_paths=record_paths)
     assert store <= peak < 1.04 * store, peak / store
-
-
-@pytest.mark.parametrize("record_paths", [False, True], ids=["no-paths", "paths"])
-def test_batch_keeps_only_each_periods_window(p0, dc0, record_paths):
-    # At eps 0.01 on the orbit the window is the first 424 of a period's
-    # 1000 steps, and the batch keeps only those normals and x values.  A
-    # store of whole periods peaks at about 1.05 (no paths) and 1.21 (paths)
-    # times B n doubles.
-    B, cfg = 64, StochConfig(epsilon=0.01, dt=1e-3, horizon=50, seed=3)
-    n = cfg.horizon * cfg.steps_per_unit()
-    tracemalloc.start()
-    try:
-        res = simulate_batch(p0, dc0.x_star, cfg, range(B), record_paths=record_paths)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.5 * B * n * 8
     if record_paths:
-        assert res.window.shape == (B, cfg.horizon, 424)
+        assert res.window.shape == (B, cfg.horizon, window_steps(p0, dc0.x_star, cfg))
 
 
 def test_window_steps_rule(p0, dc0):
