@@ -15,7 +15,9 @@ timing tolerance delta = eps^varsigma and a horizon T_eps of order
     distance between the stochastic and deterministic trajectories, via
     the schedule-aligning deformation on good replicas and the identity
     elsewhere, averaged to an estimate of E[d^p] that must decay as eps
-    shrinks.
+    shrinks.  A batch's bounds are decided in closed form where
+    skorokhod._batch_bounds can, and walked on the grid elsewhere; either
+    way each is the grid walk's double.
 
 Replicas are embarrassingly parallel (counter-based per-replica streams
 keyed by (seed, eps-index, replica)).  Each batch returns per-replica
@@ -36,7 +38,7 @@ from .deterministic import DetPath, Schedule, simulate_det
 from .errors import ConfigError, DomainError, batch_ranges, check_grid_size
 from .output import csv_text
 from .params import ConverterParams, DerivedConstants
-from .skorokhod import (TimeDeformation, align_schedules, distance_grid_nodes,
+from .skorokhod import (TimeDeformation, _batch_bounds, align_schedules, distance_grid_nodes,
                         skorokhod_upper_bound)
 from .stochastic import StochConfig, simulate_batch
 
@@ -247,13 +249,18 @@ def _ensemble_batch(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
     first_bad = np.zeros(B, dtype=int)
     bad_sign = np.zeros(B, dtype=int)
     anomaly = np.zeros(B, dtype=bool)
-    d_bound = np.zeros(B)
+    lams = []
     for b, sched in enumerate(res.schedules):
         first_bad[b], bad_sign[b] = _first_bad_cycle(det_t, sched.taus, delta, t_eps)
         anomaly[b] = sched.anomaly
         if want_distance:
-            lam, _ = deformation_for(det, sched, float(t_eps), first_bad[b] == 0)
-            d_bound[b] = skorokhod_upper_bound(det, res.path(b), lam).bound
+            lams.append(deformation_for(det, sched, float(t_eps), first_bad[b] == 0)[0])
+    if not want_distance:
+        return first_bad, bad_sign, anomaly, np.zeros(B)
+    # The grid walk's bytes, in closed form where _batch_bounds decides them.
+    d_bound = _batch_bounds(det, res, lams)
+    for b in np.flatnonzero(np.isnan(d_bound)).tolist():
+        d_bound[b] = skorokhod_upper_bound(det, res.path(b), lams[b]).bound
     return first_bad, bad_sign, anomaly, d_bound
 
 

@@ -27,6 +27,12 @@ the memo is filled the same way, so besides the path being bounded and
 the memo (both grid-length) a bound's scratch is about CHUNK_POINTS
 points, whatever the horizon.
 
+A sweep bounds each batch with _batch_bounds first: it decides in closed
+form the bounds of aligned replicas whose certified state mismatch is at
+most the distortion, and of identity replicas with a mode mismatch and an
+x range shorter than 1, each as the walk's own double; only the others
+are walked.
+
 For piecewise-linear lam the distortion equals max |log slope| over linear
 pieces: any chord slope is a convex combination (weighted by time
 fractions) of the piece slopes it spans, hence lies between the extreme
@@ -42,6 +48,7 @@ import numpy as np
 
 from .deterministic import DetPath, Schedule
 from .errors import DomainError, check_grid_size
+from .stochastic import BatchResult, StochPath, schedule_modes
 
 # A bound walks its grid CHUNK_POINTS points at a time, so its scratch
 # does not grow with the horizon (a 10 001-point grid is one chunk).
@@ -214,3 +221,167 @@ def skorokhod_upper_bound(z1, z2, lam: TimeDeformation) -> DistanceBound:
                            *z2.eval(np.clip(lam(jumps), 0.0, T))).max(initial=0.0)
     sup_r = float(np.maximum(on_grid, at_jumps))  # a NaN gap propagates
     return DistanceBound(gamma=lam.distortion(), sup_r=sup_r)
+
+
+# The closed-form decisions of _batch_bounds keep an absolute slack of
+# 1e-9.  The rounding they must cover, of lam(t), np.interp and exp, stays
+# below about 1e-11 up to the longest horizon under the grid cap (about
+# 3.4e4), so 1e-9 is ample.  A grid point nearer than that to an orbit knot
+# but not on it would leave the modes there to rounding.
+_SLACK = 1e-9
+
+
+def _batch_bounds(det: DetPath, res: BatchResult,
+                  lams: list[TimeDeformation]) -> np.ndarray:
+    """skorokhod_upper_bound(det, res.path(b), lams[b]).bound of each replica, decided in closed form.
+
+    The same double as the grid walk wherever a rule below decides it; NaN
+    where none does (a replica whose walk gives NaN is never decided), and
+    the caller walks the grid for those.  lams[b] is the identity or the
+    aligning deformation of replica b, and det the orbit of every replica
+    from the batch's start, with the memo of the walk.
+
+      * An aligned replica reports gamma = lam.distortion() when the
+        certified bound U of its state mismatch (_aligned_mismatch) is at
+        most gamma: the walk's sup_r never exceeds U, and its bound is
+        max(gamma, sup_r).  That takes the modes to agree at every
+        evaluation point.  Jump points are knots of lam, whose images
+        np.interp returns exactly, so they do; so does a grid point at least
+        _SLACK from every knot, under lam's slopes of at least 1/e
+        (gamma <= 1).  A grid point nearer to a knot sends every aligned
+        replica of the batch to the walk.
+      * An identity replica whose modes differ at some evaluation point,
+        and whose x and the orbit's lie in an interval shorter than 1, has
+        the bound max hypot(|dx|, 1) over those points and the jump points:
+        where the modes agree the gap |dx| is below 1 (_identity_bound).
+    """
+    memo = _on_uniform_grid(det)
+    out = np.full(len(lams), np.nan)
+    aligned = [b for b, lam in enumerate(lams) if len(lam.knots_t) > 2]
+    if aligned and _clear_of_knots(memo[0], lams[aligned[0]].knots_t):
+        gamma = np.array([lams[b].distortion() for b in aligned])
+        U = _aligned_mismatch(det, res, aligned)
+        decided = (U <= gamma) & (gamma <= 1.0)  # a NaN U is not decided
+        out[np.asarray(aligned)[decided]] = gamma[decided]
+    span = (float(memo[1].min()), float(memo[1].max()))
+    for b, lam in enumerate(lams):
+        if len(lam.knots_t) == 2:
+            out[b] = _identity_bound(det, memo, span, res.path(b))
+    return out
+
+
+def _clear_of_knots(grid: np.ndarray, knots: np.ndarray) -> bool:
+    """Every grid point is one of the knots or more than _SLACK from all of them."""
+    above = np.minimum(np.searchsorted(grid, knots), len(grid) - 1)
+    near = np.concatenate([grid[above], grid[np.maximum(above - 1, 0)]]) - np.tile(knots, 2)
+    return bool(np.all((near == 0.0) | (np.abs(near) > _SLACK)))
+
+
+def _aligned_mismatch(det: DetPath, res: BatchResult, rows: list[int]) -> np.ndarray:
+    """Upper bound U of sup_t |x1(t) - x2(lam(t))| for the aligned replicas rows of res.
+
+    NaN for a replica that spilled or whose cycles are not one a period.
+    With orbit passage t_k, noisy passage tau_k, d = t_k - k, D = tau_k - k
+    and h = 1 / spu, lam is affine on each phase, so per period:
+
+      * ON, [k, tau_k]: x1(lam^-1(u)) is concave in u (the ON orbit is
+        concave below m = beta / alpha_on) and x2 is linear between its
+        nodes and the passage knot (tau_k, x_ref), where both are x_ref.  So
+        the mismatch is at most the largest gap at the stored ON nodes
+        j = 0 .. J_k, plus the chord error h^2/8 alpha_on^2 (m - x1(k)) (d/D)^2.
+        Node 0 is the restart value, or x0 at k = 0.
+      * OFF, [tau_k, k + 1]: with c = (k + 1 - tau_k) / (k + 1 - t_k), the
+        mismatch is x_ref |e^{-alpha_off w} - e^{-alpha_off c w}| at w = s - t_k,
+        whose one peak is w = ln c / (alpha_off (c - 1)), clipped to the
+        phase, plus the chord error h^2/8 alpha_off^2 x_ref of x2.
+
+    The ON nodes are read CHUNK_POINTS elements at a time from the window.
+    """
+    p, T, W = res.params, *res.window.shape[1:]
+    spu = (len(res.grid_t) - 1) // T
+    h = 1.0 / spu
+    m, a_on, a_off, x_ref = p.equilibrium, p.alpha_on, p.alpha_off, p.x_ref
+    U = np.full(len(rows), np.nan)
+    ok = [i for i, b in enumerate(rows) if len(res.schedules[b].taus) == T and not res.spills[b]]
+    if not ok:
+        return U
+    rows = np.asarray(rows)[ok]
+    k = np.arange(T)
+    t_det = det.schedule.taus
+    x1k = det.eval(k.astype(float))[0]           # orbit at each restart
+    taus = np.array([res.schedules[b].taus for b in rows])
+    J = np.array([res.passage_steps[b] for b in rows]) - k * spu
+    x2k = np.empty_like(taus)                    # noisy x at each restart
+    x2k[:, 0] = res.x0
+    x2k[:, 1:] = x_ref * np.exp(-a_off * (k[1:] - taus[:, :-1]))
+    ratio = (t_det - k) / (taus - k)             # d / D, the slope of lam^-1 on ON
+    U_on = np.abs(x1k - x2k)
+    # Nodes j = 1 .. W of period k of `per` replicas at a time.
+    per = max(1, CHUNK_POINTS // W)
+    gap = np.empty((min(per, len(rows)), W))
+    offsets = np.arange(1, W + 1) / spu
+    cols = np.arange(W)
+    for kk in range(T):
+        for lo in range(0, len(rows), per):
+            r = slice(lo, lo + per)
+            g = gap[:len(rows[r])]
+            np.multiply.outer(-a_on * ratio[r, kk], offsets, out=g)
+            np.exp(g, out=g)
+            g *= m - x1k[kk]
+            g -= m                               # -x1(lam^-1(u_j))
+            g += res.window[rows[r], kk]
+            np.abs(g, out=g)
+            np.copyto(g, 0.0, where=cols >= J[r, kk, None])
+            np.maximum(U_on[r, kk], g.max(axis=1), out=U_on[r, kk])
+    U_on += h * h / 8.0 * a_on * a_on * (m - x1k) * ratio * ratio
+    span = (k + 1) - t_det
+    c = ((k + 1) - taus) / span
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(c == 1.0, 0.0, np.log(c) / (a_off * (c - 1.0)))
+    w = np.clip(w, 0.0, span)
+    U_off = x_ref * np.abs(np.exp(-a_off * w) - np.exp(-a_off * c * w))
+    U_off += h * h / 8.0 * a_off * a_off * x_ref
+    U[ok] = np.maximum(U_on, U_off).max(axis=1) + _SLACK
+    return U
+
+
+def _identity_bound(det: DetPath, memo: tuple, span: tuple[float, float],
+                    z2: StochPath) -> float:
+    """z2's bound under the identity, from the points where the modes may differ; or NaN.
+
+    span is the orbit's x range on the grid.  Where the modes agree the gap
+    |dx| is below 1 when z2's x and the orbit's lie in an interval shorter
+    than 1, and where they differ it is hypot(|dx|, 1) >= 1; so if they
+    differ somewhere, the walk's max is the max over the points where they
+    may: the grid ranges between consecutive switch times of either path,
+    the last grid point (where a switch at the horizon counts) and the jump
+    points.  Their gaps are _state_gaps of the modes the walk reads (the
+    memo's and schedule_modes).  The identity is its own inverse and maps
+    every point onto itself, and z2's value at a query depends only on the
+    two knots around it, so evaluating z2 on the nodes of one CHUNK_POINTS
+    stretch at a time gives the walk's doubles.
+    """
+    grid, gx1, gy1, j1, jx1, jy1 = memo
+    x = z2.x
+    width = np.max([span[1], x.max(), z2.level]) - np.min([span[0], x.min()])
+    if not width < 1.0 - _SLACK:  # also False for a NaN
+        return math.nan
+    n, s, j2 = len(grid) - 1, z2.schedule, z2.jump_times
+    # The modes differ on grid point i iff an odd number of switch times of
+    # the two paths lie at or below it, i.e. from cuts[2 r] to cuts[2 r + 1].
+    cuts = np.sort(np.concatenate([np.searchsorted(grid, j1), np.searchsorted(grid, j2)]))
+    if cuts.size % 2:
+        cuts = np.append(cuts, n)
+    starts, lengths = cuts[0::2], cuts[1::2] - cuts[0::2]
+    ends = np.cumsum(lengths)
+    cand = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+    cand = np.append(cand, n)
+    px1, py1 = det.eval(j2)
+    q = np.concatenate([grid[cand], j1, j2])
+    y1 = np.concatenate([gy1[cand], jy1, py1])
+    y2 = schedule_modes(s.taus, s.sigmas, q)
+    if not np.any(y1 != y2):
+        return math.nan
+    x2 = z2.eval(q)[0]
+    r = _state_gaps(np.concatenate([gx1[cand], jx1, px1]), y1, x2, y2)
+    return float(np.maximum(0.0, r.max()))

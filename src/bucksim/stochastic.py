@@ -408,10 +408,17 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     x_ref = p.x_ref
     m = p.equilibrium
     h = 1.0 / spu
-    decay_on = math.exp(-p.alpha_on * h)
+    # The ON step's operands as 0-d arrays, so that no step converts a float
+    # (a step then allocates only its row view, which keeps the loop fast
+    # under tracemalloc too).
+    m0, decay0 = np.array(m), np.array(math.exp(-p.alpha_on * h))
     # An eps^2 h that underflows to 0 makes every bridge probability 0.
     bridge = cfg.bridge_correction and eps * eps * h > 0.0
     neg_inv_var = -(2.0 / (eps * eps * h)) if bridge else 0.0
+    # A step whose endpoints both lie at least `far` below x_ref has a bridge
+    # probability below e^-42, under every nonzero uniform (at least 2^-53,
+    # about e^-36.7): in a period whose uniforms hold no 0 it cannot cross.
+    far = math.sqrt(42.0 / -neg_inv_var) if bridge else 0.0
 
     noisy = eps > 0.0
     win = horizon * W
@@ -479,6 +486,8 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
         if bridge:
             for j in range(B):
                 gens[j].random(out=uniforms[j])
+            # Only a uniform of 0 crosses a step farther than `far` below x_ref.
+            reach = x_ref - far if uniforms.min() > 0.0 else -np.inf
         act = np.flatnonzero(on)
         xa = x[act]
         # Step j0 of the period reads its normal from, and writes its x to,
@@ -501,20 +510,26 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
             else:
                 xb[1:] = 0.0
             drift = np.empty(A)
-            for j in range(L):
-                xm = xb[j + 1]
-                np.subtract(xb[j], m, out=drift)
-                np.multiply(drift, decay_on, out=drift)
-                np.add(drift, m, out=drift)
+            prev = xb[0]
+            for xm in xb[1:]:
+                np.subtract(prev, m0, out=drift)
+                np.multiply(drift, decay0, out=drift)
+                np.add(drift, m0, out=drift)
                 np.add(drift, xm, out=xm)
+                prev = xm
             up = xb[1:] >= x_ref
             crossed = up
-            if bridge:
-                gap = x_ref - xb
+            # Bridge-test only the replicas that come within reach of x_ref.
+            near = np.flatnonzero(xb.max(axis=0) > reach) if bridge else ()
+            if len(near):
+                An = len(near)
+                gap = xb[:, near]
+                np.subtract(x_ref, gap, out=gap)
                 pb = _bridge_probability(neg_inv_var, gap[:-1], gap[1:],
-                                         out=scratch[1, :L * A].reshape(L, A))
+                                         out=scratch[1, :L * An].reshape(L, An))
                 del gap
-                crossed = up | (uniforms[act, j0:j0 + L].T < pb)
+                crossed = up.copy()
+                crossed[:, near] |= uniforms[act[near], j0:j0 + L].T < pb
             if record_paths:
                 # Values after a passage are replaced by the OFF fill when the
                 # path is read.  These columns held the normals gathered into xb.

@@ -240,18 +240,25 @@ def test_sweep_deterministic_and_worker_independent(p0, dc0):
 
 
 def test_one_orbit_per_noise_level(p0, dc0, monkeypatch):
-    # Every batch of a level is bounded against the same orbit, so its grid
-    # memo is built once per level; eps = 0 simulates nothing.
+    # Every batch of a level is bounded against the same orbit, by the
+    # closed-form decisions and by the grid walk, so its grid memo is built
+    # once per level; eps = 0 simulates nothing.
     dets, orbits = [], {}
     real_det, real_bound = montecarlo.simulate_det, montecarlo.skorokhod_upper_bound
+    real_batch = montecarlo._batch_bounds
 
     def bound(z1, z2, lam, *args, **kwargs):
         orbits.setdefault(z1.horizon, set()).add(id(z1))
         return real_bound(z1, z2, lam, *args, **kwargs)
 
+    def batch_bounds(det, res, lams):
+        orbits.setdefault(det.horizon, set()).add(id(det))
+        return real_batch(det, res, lams)
+
     monkeypatch.setattr(montecarlo, "simulate_det",
                         lambda *args: dets.append(args[-1]) or real_det(*args))
     monkeypatch.setattr(montecarlo, "skorokhod_upper_bound", bound)
+    monkeypatch.setattr(montecarlo, "_batch_bounds", batch_bounds)
     cfg = _small_cfg(epsilons=(0.1, 0.05, 0.0), nu=0.5, frak_t=1, replicas=12, batch_size=4)
     sweep(p0, dc0, cfg)
     assert dets == [cfg.horizon_for(0.1), cfg.horizon_for(0.05)] == [3, 4]
