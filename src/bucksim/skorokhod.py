@@ -29,9 +29,8 @@ points, whatever the horizon.
 
 A sweep bounds each batch with _batch_bounds first: it decides in closed
 form the bounds of aligned replicas whose certified state mismatch is at
-most the distortion, and of identity replicas with a mode mismatch and an
-x range shorter than 1, each as the walk's own double; only the others
-are walked.
+most the distortion, each as the walk's own double; only the others are
+walked.
 
 For piecewise-linear lam the distortion equals max |log slope| over linear
 pieces: any chord slope is a convex combination (weighted by time
@@ -48,7 +47,7 @@ import numpy as np
 
 from .deterministic import DetPath, Schedule
 from .errors import DomainError, check_grid_size
-from .stochastic import BatchResult, StochPath, schedule_modes
+from .stochastic import BatchResult
 
 # A bound walks its grid CHUNK_POINTS points at a time, so its scratch
 # does not grow with the horizon (a 10 001-point grid is one chunk).
@@ -233,27 +232,23 @@ _SLACK = 1e-9
 
 def _batch_bounds(det: DetPath, res: BatchResult,
                   lams: list[TimeDeformation]) -> np.ndarray:
-    """skorokhod_upper_bound(det, res.path(b), lams[b]).bound of each replica, decided in closed form.
+    """skorokhod_upper_bound(det, res.path(b), lams[b]).bound of each aligned replica, in closed form.
 
-    The same double as the grid walk wherever a rule below decides it; NaN
-    where none does (a replica whose walk gives NaN is never decided), and
-    the caller walks the grid for those.  lams[b] is the identity or the
-    aligning deformation of replica b, and det the orbit of every replica
-    from the batch's start, with the memo of the walk.
+    The same double as the grid walk wherever it is decided; NaN for every
+    identity replica, for any replica whose walk gives NaN and for aligned
+    ones the certificate below does not decide, and the caller walks the
+    grid for those.  lams[b] is the identity or the aligning deformation of
+    replica b, and det the orbit of every replica from the batch's start,
+    with the memo of the walk.
 
-      * An aligned replica reports gamma = lam.distortion() when the
-        certified bound U of its state mismatch (_aligned_mismatch) is at
-        most gamma: the walk's sup_r never exceeds U, and its bound is
-        max(gamma, sup_r).  That takes the modes to agree at every
-        evaluation point.  Jump points are knots of lam, whose images
-        np.interp returns exactly, so they do; so does a grid point at least
-        _SLACK from every knot, under lam's slopes of at least 1/e
-        (gamma <= 1).  A grid point nearer to a knot sends every aligned
-        replica of the batch to the walk.
-      * An identity replica whose modes differ at some evaluation point,
-        and whose x and the orbit's lie in an interval shorter than 1, has
-        the bound max hypot(|dx|, 1) over those points and the jump points:
-        where the modes agree the gap |dx| is below 1 (_identity_bound).
+    An aligned replica reports gamma = lam.distortion() when the certified
+    bound U of its state mismatch (_aligned_mismatch) is at most gamma: the
+    walk's sup_r never exceeds U, and its bound is max(gamma, sup_r).  That
+    takes the modes to agree at every evaluation point.  Jump points are
+    knots of lam, whose images np.interp returns exactly, so they do; so
+    does a grid point at least _SLACK from every knot, under lam's slopes of
+    at least 1/e (gamma <= 1).  A grid point nearer to a knot sends every
+    aligned replica of the batch to the walk.
     """
     memo = _on_uniform_grid(det)
     out = np.full(len(lams), np.nan)
@@ -263,10 +258,6 @@ def _batch_bounds(det: DetPath, res: BatchResult,
         U = _aligned_mismatch(det, res, aligned)
         decided = (U <= gamma) & (gamma <= 1.0)  # a NaN U is not decided
         out[np.asarray(aligned)[decided]] = gamma[decided]
-    span = (float(memo[1].min()), float(memo[1].max()))
-    for b, lam in enumerate(lams):
-        if len(lam.knots_t) == 2:
-            out[b] = _identity_bound(det, memo, span, res.path(b))
     return out
 
 
@@ -343,45 +334,3 @@ def _aligned_mismatch(det: DetPath, res: BatchResult, rows: list[int]) -> np.nda
     U_off += h * h / 8.0 * a_off * a_off * x_ref
     U[ok] = np.maximum(U_on, U_off).max(axis=1) + _SLACK
     return U
-
-
-def _identity_bound(det: DetPath, memo: tuple, span: tuple[float, float],
-                    z2: StochPath) -> float:
-    """z2's bound under the identity, from the points where the modes may differ; or NaN.
-
-    span is the orbit's x range on the grid.  Where the modes agree the gap
-    |dx| is below 1 when z2's x and the orbit's lie in an interval shorter
-    than 1, and where they differ it is hypot(|dx|, 1) >= 1; so if they
-    differ somewhere, the walk's max is the max over the points where they
-    may: the grid ranges between consecutive switch times of either path,
-    the last grid point (where a switch at the horizon counts) and the jump
-    points.  Their gaps are _state_gaps of the modes the walk reads (the
-    memo's and schedule_modes).  The identity is its own inverse and maps
-    every point onto itself, and z2's value at a query depends only on the
-    two knots around it, so evaluating z2 on the nodes of one CHUNK_POINTS
-    stretch at a time gives the walk's doubles.
-    """
-    grid, gx1, gy1, j1, jx1, jy1 = memo
-    x = z2.x
-    width = np.max([span[1], x.max(), z2.level]) - np.min([span[0], x.min()])
-    if not width < 1.0 - _SLACK:  # also False for a NaN
-        return math.nan
-    n, s, j2 = len(grid) - 1, z2.schedule, z2.jump_times
-    # The modes differ on grid point i iff an odd number of switch times of
-    # the two paths lie at or below it, i.e. from cuts[2 r] to cuts[2 r + 1].
-    cuts = np.sort(np.concatenate([np.searchsorted(grid, j1), np.searchsorted(grid, j2)]))
-    if cuts.size % 2:
-        cuts = np.append(cuts, n)
-    starts, lengths = cuts[0::2], cuts[1::2] - cuts[0::2]
-    ends = np.cumsum(lengths)
-    cand = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
-    cand = np.append(cand, n)
-    px1, py1 = det.eval(j2)
-    q = np.concatenate([grid[cand], j1, j2])
-    y1 = np.concatenate([gy1[cand], jy1, py1])
-    y2 = schedule_modes(s.taus, s.sigmas, q)
-    if not np.any(y1 != y2):
-        return math.nan
-    x2 = z2.eval(q)[0]
-    r = _state_gaps(np.concatenate([gx1[cand], jx1, px1]), y1, x2, y2)
-    return float(np.maximum(0.0, r.max()))
