@@ -11,14 +11,13 @@ from .deterministic import (DetPath, Schedule, off_flow, on_flow,
                             on_hit_time, sample_path, simulate_det)
 from .errors import BucksimError, ConfigError, DomainError, InvalidParamsError
 from .montecarlo import (McConfig, McReport, bad_event_probs, distance_moment,
-                         gaussian_tail, gaussian_tail_bound, sweep,
-                         wilson_interval)
+                         gaussian_tail, gaussian_tail_bound, sweep)
 from .params import (ConverterParams, DerivedConstants, ParamCheck, Violation,
                      border_point, derive_constants, validate_params)
 from .skorokhod import (DistanceBound, TimeDeformation, align_schedules,
                         skorokhod_upper_bound)
-from .stochastic import (StochConfig, StochPath, crossing_probability, ou_step,
-                         replica_generator, simulate_batch, simulate_stoch)
+from .stochastic import (StochConfig, StochPath, ou_step, replica_generator,
+                         simulate_batch)
 from .strobe import (find_fixed_point, iterate_map, strobe_map,
                      strobe_map_derivative)
 
@@ -31,9 +30,8 @@ __all__ = [
     "DetPath", "Schedule", "on_flow", "off_flow", "on_hit_time",
     "simulate_det", "sample_path",
     "StochConfig", "StochPath",
-    "ou_step", "crossing_probability", "simulate_stoch", "simulate_batch",
-    "replica_generator",
+    "ou_step", "simulate_batch", "replica_generator",
     "TimeDeformation", "DistanceBound", "align_schedules", "skorokhod_upper_bound",
     "McConfig", "McReport", "gaussian_tail", "gaussian_tail_bound",
-    "wilson_interval", "bad_event_probs", "distance_moment", "sweep",
+    "bad_event_probs", "distance_moment", "sweep",
 ]

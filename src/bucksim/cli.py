@@ -29,7 +29,7 @@ from .output import atomic_write_text, csv_text, format_value, write_json
 from .params import ConverterParams, derive_constants, validate_params
 from .skorokhod import distance_grid_nodes, skorokhod_upper_bound
 from .strobe import find_fixed_point, iterate_map
-from .stochastic import StochConfig, simulate_batch, simulate_stoch
+from .stochastic import StochConfig, simulate_batch
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,7 +146,7 @@ def _cmd_simulate_sde(s: SimpleNamespace, p: ConverterParams, cfg: StochConfig, 
                                   csv_text(("t", "x", "y"), zip(path.t, path.x, path.y)))
     atomic_write_text(out / "schedule.csv",
                       csv_text(("replica", "n", "tau_n", "sigma_n"), rows))
-    _say(s, f"simulated {s.replicas} replica(s) at epsilon={cfg.epsilon}; "
+    _say(s, f"simulated {s.replicas} replica(s) at epsilon={format_value(cfg.epsilon)}; "
             f"{anomalies} with clock-spanning ON phases; artifacts in {out}")
     return 0
 
@@ -155,7 +155,7 @@ def _cmd_distance(s: SimpleNamespace, p: ConverterParams, cfg: StochConfig, out:
     dc = derive_constants(p)
     distance_grid_nodes(float(cfg.horizon))  # refuse an over-cap grid before simulating
     det = simulate_det(p, (dc.x_star, 1), cfg.horizon)
-    stoch = simulate_stoch(p, (dc.x_star, 1), cfg, replica=s.replica)
+    stoch = simulate_batch(p, dc.x_star, cfg, [s.replica]).path(0)
     lam, method = deformation_for(det, stoch.schedule, float(cfg.horizon), try_align=True)
     bnd = skorokhod_upper_bound(det, stoch, lam)
     atomic_write_text(out / "distance.csv",
@@ -174,9 +174,10 @@ def _cmd_mc_sweep(s: SimpleNamespace, p: ConverterParams, cfg: McConfig, out: Pa
     write_json(out / "summary.json", summary)
     for row in summary["per_epsilon"]:
         note = "" if row["delta_within_dplus"] else "  [delta >= delta_plus: bound not guaranteed]"
-        _say(s, f"epsilon={row['epsilon']}: T={row['t_eps']} "
-                f"good_freq={row['good_freq']:.4f} dp_moment={row['dp_moment']:.6g} "
-                f"bounds_ok={row['bound_dominance_ok']}{note}")
+        _say(s, f"epsilon={format_value(row['epsilon'])}: T={format_value(row['t_eps'])} "
+                f"good_freq={format_value(row['good_freq'])} "
+                f"dp_moment={format_value(row['dp_moment'])} "
+                f"bounds_ok={format_value(row['bound_dominance_ok'])}{note}")
     _say(s, f"artifacts in {out}")
     return 0
 

@@ -8,16 +8,11 @@ too: exceeding it is a configuration problem.
 """
 
 # Largest grid one array may span: replicas x nodes of a stochastic batch,
-# or the sample/evaluation points of one path.  A batch of B replicas over
-# n = T spu nodes holds B (T W + spu) doubles (stochastic._simulate_windows),
-# so with whole periods (W = spu) about 0.27 GB at the cap plus one period
-# per replica; a window W < spu holds less, plus spu - W doubles for each
-# replica-period that outlasts it (a spill), so never more than whole
-# periods, beside a passage record of B T (8 + 8) bytes, more than the store
-# only at spu = 1 (W = 1).  Reading one replica's path builds n + 1 doubles
-# more, and ys B (n + 1) bytes.  Sweeps and simulate-sde split their replicas
-# into batches under it.  The cap also bounds the iterates of the
-# stroboscopic map (strobe.iterate_map keeps one float per iterate).
+# or the sample/evaluation points of one path.  At the cap a batch's store
+# holds at most about 0.27 GB plus one period per replica; its layout is
+# described in stochastic._simulate_windows.  Sweeps and simulate-sde split
+# their replicas into batches under it.  The cap also bounds the iterates
+# of the stroboscopic map (strobe.iterate_map keeps one float per iterate).
 MAX_GRID_POINTS = 2 ** 25
 
 

@@ -11,13 +11,15 @@ timing tolerance delta = eps^varsigma and a horizon T_eps of order
     deviates from the deterministic one by more than delta; the empirical
     frequencies are compared against 3 * tail(K delta / eps) per cycle,
     with the early/late split checked against its own two bounds.
-  * Distance moments: per-replica grid-resolved bounds on the path
-    distance between the stochastic and deterministic trajectories, via
-    the schedule-aligning deformation on good replicas and the identity
+  * Distance moments: per-replica bounds on the path distance between
+    the stochastic and deterministic trajectories, via the
+    schedule-aligning deformation on good replicas and the identity
     elsewhere, averaged to an estimate of E[d^p] that must decay as eps
     shrinks.  A batch's bounds are decided in closed form where
     skorokhod._batch_bounds can, and walked on the grid elsewhere; either
-    way each is the grid walk's double.
+    way each is the grid walk's double.  A decided bound is its
+    deformation's exact value; only a walked one resolves the continuous
+    mismatch on the grid, and may fall short of that value.
 
 Replicas are embarrassingly parallel (counter-based per-replica streams
 keyed by (seed, eps-index, replica)).  Each batch returns per-replica
@@ -152,7 +154,7 @@ class McConfig:
             if not (math.isfinite(e) and e >= 0.0):
                 raise ConfigError(f"epsilon={e!r} must be finite and >= 0")
         if len(set(self.epsilons)) < len(self.epsilons):
-            # stream_for maps a noise level to one stream, so a repeat would
+            # stoch_config maps a noise level to one stream, so a repeat would
             # reproduce the same sub-ensemble.
             raise ConfigError(f"epsilons={self.epsilons!r} must not repeat a value")
         if not 0.0 <= self.nu < 2.0 / 3.0:
@@ -192,16 +194,15 @@ class McConfig:
         return 0.0 if eps == 0.0 else eps ** self.varsigma
 
     def stoch_config(self, eps: float) -> StochConfig:
-        """The engine config of the sub-ensemble at noise level eps."""
-        return StochConfig(epsilon=eps, dt=self.dt, horizon=self.horizon_for(eps),
-                           seed=self.seed, bridge_correction=self.bridge_correction,
-                           stream=self.stream_for(eps))
+        """The engine config of the sub-ensemble at noise level eps.
 
-    def stream_for(self, eps: float) -> int:
-        """Sub-ensemble index: position of eps in the grid; no other level has a stream."""
+        Its stream is the position of eps in the grid; no other level has one.
+        """
         if eps not in self.epsilons:
             raise ConfigError(f"epsilon={eps!r} is not in epsilons={self.epsilons!r}")
-        return self.epsilons.index(eps)
+        return StochConfig(epsilon=eps, dt=self.dt, horizon=self.horizon_for(eps),
+                           seed=self.seed, bridge_correction=self.bridge_correction,
+                           stream=self.epsilons.index(eps))
 
 
 def _first_bad_cycle(det_t: np.ndarray, taus: np.ndarray, delta: float,
@@ -429,7 +430,7 @@ def bad_event_probs(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
 
 def distance_moment(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
                     eps: float) -> MomentEstimate:
-    """Estimate E[d^p] through per-replica grid-resolved distance bounds."""
+    """Estimate E[d^p] through per-replica distance bounds (see the module docstring)."""
     return _verdicts(p, dc, cfg, eps, want_distance=True)[1]
 
 

@@ -3,25 +3,21 @@
 Its one user is the engine's fill of the normals it draws; the distance
 bound walks its grid on the calling thread.
 
-One thread pool per process, created on first use and dropped in forked
-children, which inherit the pool object but not its threads.  The thread
-count is derived, never set: the CPUs of the process's affinity mask
-divided by the number of processes a sweep's pool runs side by side.  A
-part runs in a copy of the caller's context (numpy's error state
-included).  Parts must not call split, which would wait on the pool they
-occupy, nor the functions a tracer wraps, so every traced span stays on
-the calling thread.
+Each call opens its own thread executor and closes it before it returns,
+so no thread outlives a call and a forked child starts with none.  The
+thread count is derived, never set: the CPUs of the process's affinity
+mask divided by the number of processes a sweep's pool runs side by side.
+A part runs in a copy of the caller's context (numpy's error state
+included).  Parts must not call the functions a tracer wraps, so every
+traced span stays on the calling thread.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 _processes = 1  # processes of a sweep's pool sharing the CPUs; set in each of them
 
 
@@ -43,14 +39,6 @@ def thread_count() -> int:
     return max(1, usable_cpus() // _processes)
 
 
-def _drop_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_drop_pool)
-
-
 def split(fn, count: int) -> list:
     """[fn(lo, hi), ...] over contiguous parts of range(count), in order.
 
@@ -60,16 +48,10 @@ def split(fn, count: int) -> list:
     parts = max(1, min(thread_count(), count))
     if parts == 1:
         return [fn(0, count)]
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=max(1, usable_cpus() - 1))
-        pool = _pool
     edges = [count * i // parts for i in range(parts + 1)]
-    futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi)
-               for lo, hi in zip(edges[1:-1], edges[2:])]
-    try:
+    # Leaving the block waits for every part, also when the first one raises.
+    with ThreadPoolExecutor(max_workers=parts - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi)
+                   for lo, hi in zip(edges[1:-1], edges[2:])]
         first = fn(edges[0], edges[1])
-    finally:
-        wait(futures)  # no part outlives the call, also when the first one raises
     return [first] + [f.result() for f in futures]

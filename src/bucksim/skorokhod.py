@@ -30,7 +30,9 @@ points, whatever the horizon.
 A sweep bounds each batch with _batch_bounds first: it decides in closed
 form the bounds of aligned replicas whose certified state mismatch is at
 most the distortion, each as the walk's own double; only the others are
-walked.
+walked.  The certificate bounds the continuous mismatch, not only its grid
+values, so a decided bound, the distortion, is its deformation's exact
+value: the grid caveat above holds only for walked bounds.
 
 For piecewise-linear lam the distortion equals max |log slope| over linear
 pieces: any chord slope is a convex combination (weighted by time
@@ -324,7 +326,9 @@ def _aligned_mismatch(det: DetPath, res: BatchResult, rows: list[int]) -> np.nda
             np.abs(g, out=g)
             np.copyto(g, 0.0, where=cols >= J[r, kk, None])
             np.maximum(U_on[r, kk], g.max(axis=1), out=U_on[r, kk])
-    U_on += h * h / 8.0 * a_on * a_on * (m - x1k) * ratio * ratio
+    # A passage just after its clock time makes ratio huge: an inf U decides no replica.
+    with np.errstate(over="ignore"):
+        U_on += h * h / 8.0 * a_on * a_on * (m - x1k) * ratio * ratio
     span = (k + 1) - t_det
     c = ((k + 1) - taus) / span
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -31,9 +31,9 @@ from (seed, k), so ensembles are reproducible independent of batching or
 scheduling.  Within a replica the draw consumed at grid step i is always
 element i of its stream (normals first, then uniforms when the bridge test
 is enabled), which makes paths bit-reproducible.  The normal fill is split
-by replica rows across the process's threads (parallel.split); each stream
-is still built and drawn by one thread, in order, so no value depends on
-the thread count.
+by replica rows across threads (parallel.split); each stream is still
+built and drawn by one thread, in order, so no value depends on the
+thread count.
 """
 
 from __future__ import annotations
@@ -418,7 +418,8 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     # A step whose endpoints both lie at least `far` below x_ref has a bridge
     # probability below e^-42, under every nonzero uniform (at least 2^-53,
     # about e^-36.7): in a period whose uniforms hold no 0 it cannot cross.
-    far = math.sqrt(42.0 / -neg_inv_var) if bridge else 0.0
+    # Formed from eps, not eps^2 h, which overflows above eps of about 1e154.
+    far = eps * math.sqrt(21.0 * h) if bridge else 0.0
 
     noisy = eps > 0.0
     win = horizon * W
@@ -577,12 +578,3 @@ def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
     grid_t /= spu
     return BatchResult(grid_t=grid_t, schedules=schedules, params=p, x0=float(x0),
                        window=window, spills=spills, passage_steps=steps)
-
-
-def simulate_stoch(p: ConverterParams, z0: tuple[float, int], cfg: StochConfig,
-                   replica: int = 0) -> StochPath:
-    """Simulate a single replica from z0 = (x0, 1)."""
-    x0, y0 = z0
-    if y0 != MODE_ON:
-        raise DomainError("simulate_stoch: the initial mode must be ON")
-    return simulate_batch(p, x0, cfg, [replica], record_paths=True).path(0)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bucksim import (ConverterParams, McConfig, StochConfig, border_point, derive_constants,
-                     simulate_batch, simulate_stoch)
+                     simulate_batch)
 from bucksim import cli, errors, parallel, skorokhod, stochastic
 from bucksim.cli import main
 from bucksim.configfile import COMMAND_SETTINGS, parse_bool, resolve
@@ -219,7 +219,7 @@ def test_bad_out_exits_2_before_any_work(small_cfg, tmp_path, monkeypatch, capsy
         calls.append(args)
         raise AssertionError("work started before --out was checked")
 
-    for name in ("sweep", "simulate_batch", "simulate_stoch", "simulate_det",
+    for name in ("sweep", "simulate_batch", "simulate_det",
                  "find_fixed_point", "validate_params"):
         monkeypatch.setattr(cli, name, no_work)
     rc = main([command, "--config", small_cfg, "--quiet"] + _out_args(tmp_path, case))
@@ -244,7 +244,7 @@ def test_failed_artifact_write_is_config_error(cfg_file, tmp_path, monkeypatch, 
 
 def test_simulate_sde_outputs(cfg_file, tmp_path, monkeypatch):
     # Chunks of 2 replicas, so the last chunk is ragged; the bytes must match
-    # one simulate_stoch run per replica.
+    # one single-replica simulate_batch run per replica.
     monkeypatch.setattr(McConfig, "batch_size", 2)
     out = tmp_path / "sde"
     rc = main(["simulate-sde", "--config", cfg_file, "--out", str(out),
@@ -255,7 +255,7 @@ def test_simulate_sde_outputs(cfg_file, tmp_path, monkeypatch):
     cfg = StochConfig(epsilon=0.05, horizon=3, seed=42)
     rows = []
     for k in range(3):
-        path = simulate_stoch(p, (derive_constants(p).x_star, 1), cfg, replica=k)
+        path = simulate_batch(p, derive_constants(p).x_star, cfg, [k]).path(0)
         sched = path.schedule
         rows += [(k, n + 1, sched.taus[n], sched.sigmas[n]) for n in range(sched.cycles)]
         assert (out / f"trajectory_{k}.csv").read_text() == csv_text(
@@ -381,7 +381,7 @@ def test_distance_grid_checked_before_simulating(cfg_file, tmp_path, monkeypatch
         raise AssertionError("a replica was simulated")
 
     monkeypatch.setattr(errors, "MAX_GRID_POINTS", 2500)
-    monkeypatch.setattr(cli, "simulate_stoch", no_stoch)
+    monkeypatch.setattr(cli, "simulate_batch", no_stoch)
     rc = main(["distance", "--config", cfg_file, "--epsilon", "0.05", "--dt", "0.01",
                "--horizon", "3", "--out", str(tmp_path / "out"), "--quiet"])
     err = capsys.readouterr().err
@@ -404,6 +404,26 @@ def test_underflowing_noise_is_zero_noise(cfg_file, tmp_path):
                  "--epsilon", "1e-200", "--horizon", "2", "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("dt,schedule_digest", [
+    ("1e-3", "ebd39f63c446277f4f042f62686e55457ca8392e7e536ee5327073c8202b93eb"),
+    ("1", "81582095714c4ce164eaa13b4a2b24023382d3a12bc6f715ae101d239396f3d4"),
+])
+def test_huge_noise_runs(cfg_file, tmp_path, dt, schedule_digest):
+    # eps^2 h overflows above eps of about 1e154, and a passage 1e-200 after
+    # its clock time makes the aligned mismatch's chord term overflow.  Each
+    # command still ends in exit 0 with no numpy warning (an error here), and
+    # simulate-sde writes the schedules it wrote before the sweep's bounds
+    # were decided in closed form.
+    common = ["--config", cfg_file, "--dt", dt, "--quiet"]
+    assert main(["simulate-sde", "--epsilon", "1e200", "--horizon", "3", "--replicas", "4",
+                 "--out", str(tmp_path / "sde")] + common) == 0
+    assert _sha256(tmp_path / "sde" / "schedule.csv") == schedule_digest
+    assert main(["distance", "--epsilon", "1e200", "--horizon", "3",
+                 "--out", str(tmp_path / "dist")] + common) == 0
+    assert main(["mc-sweep", "--epsilons", "1e200,0.1", "--frak-t", "2", "--replicas", "6",
+                 "--out", str(tmp_path / "mc")] + common) == 0
+
+
 def test_mc_sweep_outputs_and_determinism(cfg_file, tmp_path):
     # Report bytes depend neither on the run nor on the batch size.
     args = ["mc-sweep", "--config", cfg_file, "--epsilons", "0.1,0.0",
@@ -419,6 +439,22 @@ def test_mc_sweep_outputs_and_determinism(cfg_file, tmp_path):
     header = (outs[0] / "report.csv").read_text().split("\n", 1)[0]
     assert header == ("epsilon,T_eps,delta,n,emp_prob,wilson_lo,wilson_hi,"
                       "bound,emp_d_mean,emp_dp_moment,dp_se,good_freq,anomalies")
+
+
+def test_mc_sweep_line_formats_summary_values(cfg_file, tmp_path, capsys):
+    # The summary line prints each value as the artifacts write it.
+    out = tmp_path / "mc"
+    assert main(["mc-sweep", "--config", cfg_file, "--epsilons", "0.1,0.05", "--frak-t", "2",
+                 "--replicas", "20", "--dt", "0.01", "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("epsilon=")]
+    rows = json.loads((out / "summary.json").read_text())["per_epsilon"]
+    assert len(lines) == len(rows) == 2
+    keys = {"epsilon": "epsilon", "T": "t_eps", "good_freq": "good_freq",
+            "dp_moment": "dp_moment", "bounds_ok": "bound_dominance_ok"}
+    for line, row in zip(lines, rows):
+        printed = dict(item.rstrip(":").split("=") for item in line.split("  [")[0].split())
+        assert printed == {k: format_value(row[key]) for k, key in keys.items()}
 
 
 # Runs the CLI in an interpreter where any scipy import fails.

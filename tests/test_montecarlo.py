@@ -12,8 +12,9 @@ from scipy.stats import norm
 
 from bucksim import (ConfigError, DomainError, McConfig, bad_event_probs,
                      distance_moment, gaussian_tail, gaussian_tail_bound,
-                     errors, montecarlo, parallel, sweep, wilson_interval)
+                     errors, montecarlo, parallel, sweep)
 from bucksim.errors import MAX_GRID_POINTS
+from bucksim.montecarlo import wilson_interval
 from bucksim.montecarlo import CSV_COLUMNS
 
 

@@ -41,12 +41,10 @@ def test_parts_run_in_the_callers_error_state(monkeypatch):
 
 
 def test_split_runs_in_a_forked_child(monkeypatch):
-    # A forked child inherits the parent's pool object but not its threads;
-    # the pool is dropped at the fork, so the child's split makes its own
-    # instead of waiting forever on threads that do not exist.
+    # A forked child inherits no threads; a split in the parent before the
+    # fork must not leave the child's split waiting on threads that do not exist.
     monkeypatch.setattr(parallel, "thread_count", lambda: 2)
     assert _split_sum(1000) == 499500
-    assert parallel._pool is not None  # the parent's pool exists at the fork
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_report_split_sum, args=(send,))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bucksim import (DomainError, StochConfig, TimeDeformation,
-                     align_schedules, simulate_batch, simulate_det, simulate_stoch,
+                     align_schedules, simulate_batch, simulate_det,
                      skorokhod_upper_bound)
 from bucksim import parallel, skorokhod
 from bucksim.deterministic import Schedule
@@ -113,7 +113,7 @@ def test_align_distortion_lemma_bound(dc0):
 def test_mode_alignment_on_good_event(p0, dc0):
     det = simulate_det(p0, (dc0.x_star, 1), 10)
     cfg = StochConfig(epsilon=0.02, dt=1e-3, horizon=10, seed=2)
-    sp = simulate_stoch(p0, (dc0.x_star, 1), cfg)
+    sp = simulate_batch(p0, dc0.x_star, cfg, [0]).path(0)
     lam = align_schedules(det.schedule, sp.schedule, 10.0)
     assert lam is not None
     t = np.arange(0.0, 10.0 + 1e-12, 1e-3)

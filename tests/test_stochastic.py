@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bucksim import (ConfigError, DomainError, StochConfig, StochPath, border_point,
-                     crossing_probability, on_flow, on_hit_time, ou_step, parallel,
-                     replica_generator, simulate_batch, simulate_det, simulate_stoch,
-                     stochastic)
+                     on_flow, on_hit_time, ou_step, parallel, replica_generator,
+                     simulate_batch, simulate_det, stochastic)
 from bucksim.deterministic import MODE_OFF, MODE_ON, Schedule
 from bucksim.params import mistiming_sd
-from bucksim.stochastic import (BLOCK_ELEMENTS, BLOCK_STEPS_MAX, WINDOW_SDS, ou_step_sd,
-                                schedule_modes, window_steps)
+from bucksim.stochastic import (BLOCK_ELEMENTS, BLOCK_STEPS_MAX, WINDOW_SDS,
+                                crossing_probability, ou_step_sd, schedule_modes,
+                                window_steps)
 
 
 def test_ou_step_zero_noise_is_deterministic_flow(p0, dc0):
@@ -77,7 +77,7 @@ def test_zero_noise_schedule_matches_deterministic(p0, dc0):
     T = 20
     det = simulate_det(p0, (dc0.x_star, 1), T)
     cfg = StochConfig(epsilon=0.0, dt=1e-3, horizon=T, seed=1)
-    path = simulate_stoch(p0, (dc0.x_star, 1), cfg)
+    path = simulate_batch(p0, dc0.x_star, cfg, [0]).path(0)
     assert len(path.schedule.taus) == T
     dev = np.abs(path.schedule.taus - det.schedule.taus)
     assert dev.max() <= 1e-3
@@ -88,7 +88,7 @@ def test_zero_noise_pointwise_degeneration(p0, dc0):
     T = 5
     det = simulate_det(p0, (dc0.x_star, 1), T)
     cfg = StochConfig(epsilon=0.0, dt=1e-3, horizon=T, seed=1)
-    path = simulate_stoch(p0, (dc0.x_star, 1), cfg)
+    path = simulate_batch(p0, dc0.x_star, cfg, [0]).path(0)
     xd, _ = det.eval(path.t)
     slope = max(p0.beta, p0.alpha_off * p0.x_ref)
     assert np.abs(path.x - xd).max() <= slope * cfg.dt
@@ -96,8 +96,8 @@ def test_zero_noise_pointwise_degeneration(p0, dc0):
 
 def test_reproducibility_bit_identical(p0, dc0):
     cfg = StochConfig(epsilon=0.05, dt=1e-3, horizon=5, seed=42)
-    a = simulate_stoch(p0, (dc0.x_star, 1), cfg)
-    b = simulate_stoch(p0, (dc0.x_star, 1), cfg)
+    a = simulate_batch(p0, dc0.x_star, cfg, [0]).path(0)
+    b = simulate_batch(p0, dc0.x_star, cfg, [0]).path(0)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.schedule.taus, b.schedule.taus)
     assert np.array_equal(a.schedule.sigmas, b.schedule.sigmas)
@@ -105,11 +105,11 @@ def test_reproducibility_bit_identical(p0, dc0):
 
 def test_replica_and_stream_separation(p0, dc0):
     cfg0 = StochConfig(epsilon=0.05, dt=1e-3, horizon=2, seed=42)
-    a = simulate_stoch(p0, (dc0.x_star, 1), cfg0, replica=0)
-    b = simulate_stoch(p0, (dc0.x_star, 1), cfg0, replica=1)
+    a = simulate_batch(p0, dc0.x_star, cfg0, [0]).path(0)
+    b = simulate_batch(p0, dc0.x_star, cfg0, [1]).path(0)
     assert not np.array_equal(a.x, b.x)
     cfg1 = StochConfig(epsilon=0.05, dt=1e-3, horizon=2, seed=42, stream=1)
-    c = simulate_stoch(p0, (dc0.x_star, 1), cfg1, replica=0)
+    c = simulate_batch(p0, dc0.x_star, cfg1, [0]).path(0)
     assert not np.array_equal(a.x, c.x)
 
 
@@ -117,7 +117,7 @@ def test_batch_matches_single_runs(p0, dc0):
     cfg = StochConfig(epsilon=0.05, dt=1e-3, horizon=3, seed=7)
     res = simulate_batch(p0, dc0.x_star, cfg, [0, 1, 2], record_paths=True)
     for k in range(3):
-        single = simulate_stoch(p0, (dc0.x_star, 1), cfg, replica=k)
+        single = simulate_batch(p0, dc0.x_star, cfg, [k]).path(0)
         assert np.array_equal(res.path(k).x, single.x)
         assert np.array_equal(res.schedules[k].taus, single.schedule.taus)
 
@@ -125,7 +125,7 @@ def test_batch_matches_single_runs(p0, dc0):
 def test_schedule_sanity_per_replica(p0, dc0):
     cfg = StochConfig(epsilon=0.05, dt=1e-3, horizon=10, seed=3)
     for k in range(20):
-        path = simulate_stoch(p0, (dc0.x_star, 1), cfg, replica=k)
+        path = simulate_batch(p0, dc0.x_star, cfg, [k]).path(0)
         s = path.schedule
         prev_sigma = 0.0
         for n in range(len(s.taus)):
@@ -140,7 +140,7 @@ def test_schedule_sanity_per_replica(p0, dc0):
 
 def test_paths_respect_mode_semantics(p0, dc0):
     cfg = StochConfig(epsilon=0.05, dt=1e-3, horizon=3, seed=11)
-    path = simulate_stoch(p0, (dc0.x_star, 1), cfg)
+    path = simulate_batch(p0, dc0.x_star, cfg, [0]).path(0)
     # x continuous at sigma: grid sample at integer restart equals OFF decay value
     s = path.schedule
     spu = cfg.steps_per_unit()
@@ -157,7 +157,7 @@ def test_partial_final_cycle_truncation(p0):
     # Starting far below the border, the ON phase outlives a 1-unit horizon.
     x0 = 0.5 * border_point(p0)
     cfg = StochConfig(epsilon=0.0, dt=1e-3, horizon=1, seed=0)
-    path = simulate_stoch(p0, (x0, 1), cfg)
+    path = simulate_batch(p0, x0, cfg, [0]).path(0)
     assert len(path.schedule.taus) == 0
     assert path.schedule.partial_final_on
 
@@ -192,7 +192,7 @@ def test_slow_passage_is_supported(p0):
     # Zero noise from below the border: tau_1 > 1, sigma_1 = ceil(tau_1) = 2.
     x0 = 0.5 * border_point(p0)
     cfg = StochConfig(epsilon=0.0, dt=1e-3, horizon=3, seed=0)
-    path = simulate_stoch(p0, (x0, 1), cfg)
+    path = simulate_batch(p0, x0, cfg, [0]).path(0)
     s = path.schedule
     assert s.taus[0] > 1.0
     assert s.sigmas[0] == 2.0
