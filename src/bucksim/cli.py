@@ -24,10 +24,11 @@ from . import __version__
 from .configfile import COMMAND_SETTINGS, parse_bool, resolve
 from .deterministic import sample_path, simulate_det
 from .errors import ConfigError, DomainError, batch_ranges
-from .montecarlo import McConfig, deformation_for, sweep
+from .montecarlo import McConfig, sweep
 from .output import atomic_write_text, csv_text, format_value, write_json
 from .params import ConverterParams, derive_constants, validate_params
-from .skorokhod import distance_grid_nodes, skorokhod_upper_bound
+from .skorokhod import (TimeDeformation, align_schedules, distance_grid_nodes,
+                        skorokhod_upper_bound)
 from .strobe import find_fixed_point, iterate_map
 from .stochastic import StochConfig, simulate_batch
 
@@ -153,11 +154,13 @@ def _cmd_simulate_sde(s: SimpleNamespace, p: ConverterParams, cfg: StochConfig, 
 
 def _cmd_distance(s: SimpleNamespace, p: ConverterParams, cfg: StochConfig, out: Path) -> int:
     dc = derive_constants(p)
-    distance_grid_nodes(float(cfg.horizon))  # refuse an over-cap grid before simulating
+    T = float(cfg.horizon)
+    distance_grid_nodes(T)  # refuse an over-cap grid before simulating
     det = simulate_det(p, (dc.x_star, 1), cfg.horizon)
     stoch = simulate_batch(p, dc.x_star, cfg, [s.replica]).path(0)
-    lam, method = deformation_for(det, stoch.schedule, float(cfg.horizon), try_align=True)
-    bnd = skorokhod_upper_bound(det, stoch, lam)
+    lam = align_schedules(det.schedule, stoch.schedule, T)
+    method = "identity" if lam is None else "deformation"
+    bnd = skorokhod_upper_bound(det, stoch, lam or TimeDeformation.identity(T))
     atomic_write_text(out / "distance.csv",
                       csv_text(("gamma", "sup_r", "bound", "method"),
                                [(bnd.gamma, bnd.sup_r, bnd.bound, method)]))

@@ -10,7 +10,7 @@ too: exceeding it is a configuration problem.
 # Largest grid one array may span: replicas x nodes of a stochastic batch,
 # or the sample/evaluation points of one path.  At the cap a batch's store
 # holds at most about 0.27 GB plus one period per replica; its layout is
-# described in stochastic._simulate_windows.  Sweeps and simulate-sde split
+# described in stochastic.simulate_batch.  Sweeps and simulate-sde split
 # their replicas into batches under it.  The cap also bounds the iterates
 # of the stroboscopic map (strobe.iterate_map keeps one float per iterate).
 MAX_GRID_POINTS = 2 ** 25

@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from . import parallel
-from .deterministic import DetPath, Schedule, simulate_det
+from .deterministic import DetPath, simulate_det
 from .errors import ConfigError, DomainError, batch_ranges, check_grid_size
 from .output import csv_text
 from .params import ConverterParams, DerivedConstants
@@ -222,18 +222,6 @@ def _first_bad_cycle(det_t: np.ndarray, taus: np.ndarray, delta: float,
     return 0, 0
 
 
-def deformation_for(det: DetPath, sched: Schedule, horizon: float,
-                    try_align: bool) -> tuple[TimeDeformation, str]:
-    """The schedule-aligning deformation when asked for and it exists, else the identity.
-
-    Returns the deformation and its method name, the label of the CLI's distance.csv.
-    """
-    lam = align_schedules(det.schedule, sched, horizon) if try_align else None
-    if lam is None:
-        return TimeDeformation.identity(horizon), "identity"
-    return lam, "deformation"
-
-
 def _ensemble_batch(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
                     eps: float, det: DetPath, ids: range,
                     want_distance: bool) -> tuple[np.ndarray, ...]:
@@ -250,14 +238,15 @@ def _ensemble_batch(p: ConverterParams, dc: DerivedConstants, cfg: McConfig,
     first_bad = np.zeros(B, dtype=int)
     bad_sign = np.zeros(B, dtype=int)
     anomaly = np.zeros(B, dtype=bool)
-    lams = []
     for b, sched in enumerate(res.schedules):
         first_bad[b], bad_sign[b] = _first_bad_cycle(det_t, sched.taus, delta, t_eps)
         anomaly[b] = sched.anomaly
-        if want_distance:
-            lams.append(deformation_for(det, sched, float(t_eps), first_bad[b] == 0)[0])
     if not want_distance:
         return first_bad, bad_sign, anomaly, np.zeros(B)
+    # A good replica is aligned where it can be; the rest share one frozen identity.
+    identity = TimeDeformation.identity(float(t_eps))
+    lams = [identity if bad else align_schedules(det.schedule, s, float(t_eps)) or identity
+            for s, bad in zip(res.schedules, first_bad.tolist())]
     # The grid walk's bytes, in closed form where _batch_bounds decides them.
     d_bound = _batch_bounds(det, res, lams)
     for b in np.flatnonzero(np.isnan(d_bound)).tolist():

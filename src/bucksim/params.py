@@ -105,8 +105,9 @@ def validate_params(p: ConverterParams) -> ParamCheck:
     beta_lo = 2.0 * p.x_ref * p.alpha_on
     if not beta_lo < p.beta:
         violations.append(Violation("beta lower bound", beta_lo, p.beta))
-    # a e^a / (e^a - 1) through expm1, so a tiny alpha_on gives x_ref, not 0 / 0.
-    beta_hi = p.x_ref * math.exp(p.alpha_on) * (p.alpha_on / math.expm1(p.alpha_on))
+    # a e^a / (e^a - 1) as a / (1 - e^-a) through expm1, so a tiny alpha_on
+    # gives x_ref, not 0 / 0, and a huge one does not overflow exp.
+    beta_hi = p.x_ref * (p.alpha_on / -math.expm1(-p.alpha_on))
     if not p.beta < beta_hi:
         violations.append(Violation("beta upper bound", p.beta, beta_hi))
     if not p.alpha_on < p.alpha_off:
@@ -217,9 +218,12 @@ def mistiming_sd(p: ConverterParams, dc: DerivedConstants, n: int | None = None)
     n None gives the limit s_inf^2 = v / (1 - f'^2).
     """
     a = p.alpha_on
-    v = -math.expm1(-2.0 * a * dc.t_star) / (2.0 * a * (p.beta - a * p.x_ref) ** 2)
+    # The ON slope divides the sd, not its square the variance, which
+    # overflows or underflows at an x_ref far from 1.
+    v = -math.expm1(-2.0 * a * dc.t_star) / (2.0 * a)
     f2 = dc.f_prime_at_star ** 2
-    return math.sqrt(v * (1.0 - (0.0 if n is None else f2 ** n)) / (1.0 - f2))
+    return (math.sqrt(v * (1.0 - (0.0 if n is None else f2 ** n)) / (1.0 - f2))
+            / (p.beta - a * p.x_ref))
 
 
 def _check_derived(p: ConverterParams, dc: DerivedConstants) -> None:

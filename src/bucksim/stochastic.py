@@ -23,7 +23,7 @@ the mistiming (window_steps).  A phase still ON at its window's edge
 spills: it steps on to the period's end in the same loop, with its normals
 re-drawn from its own stream.  The OFF stretches of recorded paths are
 filled in closed form when a path is read.  A replica's mode is not
-stored: its schedule fixes it (schedule_modes).  _simulate_windows
+stored: its schedule fixes it (schedule_modes).  simulate_batch
 describes the one store that holds a batch's draws and recorded paths.
 
 Replica k of an ensemble draws from a counter-based Philox stream derived
@@ -109,11 +109,14 @@ def _bridge_probability(neg_inv_var, gap1, gap2, out=None):
 
     neg_inv_var is -2 / (eps^2 h).  Clamping the exponent at 0 gives 1 for
     an endpoint crossing, which the engine flags on its own, and keeps exp
-    from overflowing.  The gaps are arrays; the result is computed in one
-    array of their shape, out when given.
+    from overflowing.  A product that overflows, at an x_ref near the top
+    of the double range, is infinite, and the clamp and exp give it the
+    probability 0 or 1 of its sign.  The gaps are arrays; the result is
+    computed in one array of their shape, out when given.
     """
-    e = np.multiply(neg_inv_var, gap1, out=out)
-    e *= gap2
+    with np.errstate(over="ignore"):
+        e = np.multiply(neg_inv_var, gap1, out=out)
+        e *= gap2
     return np.exp(np.minimum(e, 0.0, out=e), out=e)
 
 
@@ -261,7 +264,7 @@ class BatchResult:
 
     A recorded path is kept as the x of each period's first W grid nodes
     after its start (window, replicas x periods x W, a view into the
-    batch's store; see _simulate_windows), and, for each period in which
+    batch's store; see simulate_batch), and, for each period in which
     the replica spilled, the x of the period's remaining nodes (spills).
     path(b) fills in the rest, the OFF stretches and restart nodes, in
     closed form when it is read, in place and stretch by stretch, so a read
@@ -351,54 +354,45 @@ def simulate_batch(p: ConverterParams, x0: float, cfg: StochConfig,
     interpolated tau; optional bridge test with mid-step tau).  Crossed
     replicas leave after the block; the period ends once none is left.
     OFF->ON restarts are applied at node k + 1 from the closed-form OFF
-    decay.  Recorded paths share the draws' store (_simulate_windows);
-    their OFF stretches are filled in closed form when read
-    (BatchResult.path).  A replica still ON at a window's edge, by a late
-    passage or an ON phase that spans a clock pulse, spills: the same
-    blocks step it on to the period's end with normals re-drawn from its
-    own stream, so any W gives the bytes of whole periods in one pass.
-    Only the generators' set-up and the normal fill run on several threads,
-    by replica rows; everything else, the spills included, runs on the
-    calling thread.
-    """
-    require_valid(p)
-    cfg.validate()
-    if not 0.0 < x0 < p.x_ref:
-        raise DomainError(f"simulate_batch: x0={x0!r} outside (0, {p.x_ref})")
-    check_grid_size(len(replica_ids) * cfg.grid_nodes(), "simulate_batch: replicas x grid nodes")
-    return _simulate_windows(p, x0, cfg, replica_ids, record_paths, window_steps(p, x0, cfg))
-
-
-def _simulate_windows(p: ConverterParams, x0: float, cfg: StochConfig,
-                      replica_ids: Sequence[int], record_paths: bool,
-                      W: int) -> BatchResult:
-    """simulate_batch keeping the first W steps of each period, spilling the phases that outlast them.
+    decay.
 
     Each replica's stream holds its n normals, then (bridge) its n uniforms.
     One store holds a row per replica: column k W + j holds normal k spu + j
     for j < W, which a block gathers before it writes x_{k spu + j + 1}
     over it, so the first T W columns are the paths' windows and recorded
-    paths need no array of their own.  The normals are drawn a few periods
-    at a time into a scratch of each thread, in stream order, and each
-    period's first W are kept; they are scaled to the step's sd one block at
-    a time.  The rest of a period's steps are OFF for every replica but the
-    few that spill, whose rows for them are drawn again when they reach
-    step W (spill).  The last spu columns hold one period's
-    uniforms, drawn whole at the period's start on the calling thread; a
-    separate period buffer came from the malloc heap, where the block
-    scratch fragmented it (about 3 MB more peak RSS).  Drawn in parts, both
-    kinds equal one draw of the whole horizon.  So a batch holds
-    B (T W + spu) doubles, with or without paths (the last spu columns only
-    with the bridge test), plus spu - W per spilled replica-period: on the
-    orbit at eps 0.01 and dt 1e-3, W = 424 of each period's 1000 steps.
-    Each passage is written once, into replica b's row of a record of taus
-    and grid steps that its Schedule.taus and passage_steps view.  A replica
+    paths need no array of their own; their OFF stretches are filled in
+    closed form when read (BatchResult.path).  The normals are drawn a few
+    periods at a time into a scratch of each thread, in stream order, and
+    each period's first W are kept; they are scaled to the step's sd one
+    block at a time.  The generators' set-up and this fill are the only
+    work split across threads, by replica rows; everything else runs on the
+    calling thread.  The last spu columns hold one period's uniforms, drawn
+    whole at the period's start; a separate period buffer came from the
+    malloc heap, where the block scratch fragmented it (about 3 MB more
+    peak RSS).  Drawn in parts, both kinds equal one draw of the whole
+    horizon.
+
+    A replica still ON at a window's edge, by a late passage or an ON phase
+    that spans a clock pulse, spills: the same blocks step it on to the
+    period's end with normals re-drawn from its own stream, so any W gives
+    the bytes of whole periods in one pass.  So a batch holds B (T W + spu)
+    doubles, with or without paths (the last spu columns only with the
+    bridge test), plus spu - W per spilled replica-period: on the orbit at
+    eps 0.01 and dt 1e-3, W = 424 of each period's 1000 steps.  Each
+    passage is written once, into replica b's row of a record of taus and
+    grid steps that its Schedule.taus and passage_steps view.  A replica
     passes at most once a period (restarts fall on integer nodes), so the
     record is B T (8 + 8) bytes, more than the store's B T W doubles only at
     spu = 1 (W = 1).  A block's scratch is about three arrays of its size,
     two kept for the batch.  The shared grid_t, n + 1 doubles, is built as
     floats and divided in place, so no integer copy sits on top of the store.
     """
+    require_valid(p)
+    cfg.validate()
+    if not 0.0 < x0 < p.x_ref:
+        raise DomainError(f"simulate_batch: x0={x0!r} outside (0, {p.x_ref})")
+    check_grid_size(len(replica_ids) * cfg.grid_nodes(), "simulate_batch: replicas x grid nodes")
+    W = window_steps(p, x0, cfg)
     spu = cfg.steps_per_unit()
     horizon = int(cfg.horizon)
     n = horizon * spu

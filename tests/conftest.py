@@ -1,9 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bucksim import ConverterParams, derive_constants
+
+# Hypothesis imports its patch writer when it reports a failing example, and
+# with libcst installed that import emits a DeprecationWarning from
+# mypy_extensions.  Under the error filter the report itself would fail and
+# stop the session, so the module is imported here with DeprecationWarnings
+# ignored for this import only.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 P0 = ConverterParams(alpha_on=0.5, alpha_off=0.6, beta=1.2, x_ref=1.0)
 

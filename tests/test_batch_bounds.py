@@ -26,7 +26,8 @@ def _lams(det, res, cfg, eps):
     for s in res.schedules:
         first_bad, _ = montecarlo._first_bad_cycle(det.schedule.taus, s.taus,
                                                    cfg.delta_for(eps), T)
-        lams.append(montecarlo.deformation_for(det, s, float(T), first_bad == 0)[0])
+        lam = align_schedules(det.schedule, s, float(T)) if first_bad == 0 else None
+        lams.append(lam or TimeDeformation.identity(float(T)))
     return lams
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from bucksim import (ConverterParams, McConfig, StochConfig, border_point, derive_constants,
                      simulate_batch)
-from bucksim import cli, errors, parallel, skorokhod, stochastic
+from bucksim import cli, errors, montecarlo, parallel, skorokhod, stochastic
 from bucksim.cli import main
 from bucksim.configfile import COMMAND_SETTINGS, parse_bool, resolve
 from bucksim.output import atomic_write_text, csv_text, format_value
@@ -305,14 +306,15 @@ def test_artifact_bytes_after_forced_spills(cfg_file, tmp_path, monkeypatch):
     # A window of one step sends every ON phase past its window's edge: each
     # spills the rest of its period (99 steps at dt 0.01, 999 at dt 1e-3),
     # in the batch's one pass.
-    batches, passes = [], []
-    real = stochastic._simulate_windows
-    monkeypatch.setattr(stochastic, "window_steps", lambda p, x0, cfg: batches.append(cfg) or 1)
-    monkeypatch.setattr(stochastic, "_simulate_windows",
-                        lambda *args: passes.append(real(*args)) or passes[-1])
+    windows, results = [], []
+    real = stochastic.simulate_batch
+    monkeypatch.setattr(stochastic, "window_steps", lambda p, x0, cfg: windows.append(1) or 1)
+    for module in (montecarlo, cli):
+        monkeypatch.setattr(module, "simulate_batch",
+                            lambda *args, **kw: results.append(real(*args, **kw)) or results[-1])
     _check_artifact_pins(cfg_file, tmp_path)
-    assert passes and len(passes) == len(batches)
-    spilled = {len(x) for res in passes if res.spills for s in res.spills for _, x in s}
+    assert results and len(windows) == len(results)
+    spilled = {len(x) for res in results if res.spills for s in res.spills for _, x in s}
     assert spilled == {99, 999}
 
 
@@ -422,6 +424,32 @@ def test_huge_noise_runs(cfg_file, tmp_path, dt, schedule_digest):
                  "--out", str(tmp_path / "dist")] + common) == 0
     assert main(["mc-sweep", "--epsilons", "1e200,0.1", "--frak-t", "2", "--replicas", "6",
                  "--out", str(tmp_path / "mc")] + common) == 0
+
+
+@pytest.mark.parametrize("x_ref", [1e300, 1e-300])
+def test_admissible_params_run_at_extreme_scales(cfg_file, tmp_path, x_ref):
+    # P0's alphas with beta = 1.2 x_ref.  Squaring the ON slope in the
+    # mistiming sd overflowed at x_ref 1e300 and underflowed to a division by
+    # zero at 1e-300, and at 1e300 the bridge exponent's product overflowed.
+    # Every warning is an error here.
+    common = ["--config", cfg_file, "--x-ref", repr(x_ref), "--beta", repr(1.2 * x_ref),
+              "--quiet"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate"] + common) == 0
+        assert main(["simulate-sde", "--epsilon", "0.05", "--horizon", "3", "--replicas", "4",
+                     "--dt", "0.01", "--out", str(tmp_path / "sde")] + common) == 0
+        assert main(["distance", "--epsilon", "0.05", "--horizon", "3",
+                     "--out", str(tmp_path / "dist")] + common) == 0
+        assert main(["mc-sweep", "--epsilons", "0.1", "--frak-t", "2", "--replicas", "4",
+                     "--dt", "0.01", "--out", str(tmp_path / "mc")] + common) == 0
+
+
+def test_validate_huge_alpha_on_lists_its_violation(cfg_file, capsys):
+    # The beta upper bound is formed without exp(alpha_on), which overflows
+    # above about 709.8.
+    assert main(["validate", "--config", cfg_file, "--alpha-on", "1e300"]) == 3
+    assert "violation: alpha_on < log 2" in capsys.readouterr().out
 
 
 def test_mc_sweep_outputs_and_determinism(cfg_file, tmp_path):
@@ -631,7 +659,7 @@ def test_horizon_zero_runs_for_simulate_sde(small_cfg, tmp_path):
 
 
 BAD_TOKENS = ("", "abc", "nan", "inf", "-1", "0", "1e400", "0.1,abc", "1.5", "5e-324",
-              "1e-300")
+              "1e-300", "1e300", "-1e300")
 # One tiny valid value per valued flag.
 TINY = {
     "--seed": "3", "--alpha-on": "0.5", "--alpha-off": "0.6", "--beta": "1.2",

@@ -354,7 +354,7 @@ def test_engine_bytes_under_any_thread_count(p0, dc0, monkeypatch, threads):
 
 
 def _store_bytes(p, x0, cfg, B) -> int:
-    """Bytes of a batch's one store, B (T W + spu) doubles (_simulate_windows)."""
+    """Bytes of a batch's one store, B (T W + spu) doubles (simulate_batch)."""
     spu = cfg.steps_per_unit()
     return B * (cfg.horizon * window_steps(p, x0, cfg) + spu) * 8
 
@@ -434,16 +434,10 @@ def test_window_steps_rule(p0, dc0):
     assert window_steps(p0, x0, slow) == math.ceil(1000 * on_hit_time(p0, x0)) + 1 < 1000
 
 
-def _spy_windows(monkeypatch) -> list[int]:
-    """The window W of every pass simulate_batch makes over the periods."""
+def _spy_windows(monkeypatch, W: int) -> list[int]:
+    """Sets the engine's window to W; the list gets W each time a batch asks for it."""
     runs = []
-    real = stochastic._simulate_windows
-
-    def spy(*args):
-        runs.append(args[-1])
-        return real(*args)
-
-    monkeypatch.setattr(stochastic, "_simulate_windows", spy)
+    monkeypatch.setattr(stochastic, "window_steps", lambda p, x0, cfg: runs.append(W) or W)
     return runs
 
 
@@ -484,7 +478,6 @@ def test_window_overflow_spills_to_the_periods_end(p0, dc0, monkeypatch, window)
     # the same pass, with normals re-drawn from its own stream, and the
     # batch keeps the pinned bytes.  A window a few steps below the orbit's
     # passage lets some replicas pass inside it before the others spill.
-    runs = _spy_windows(monkeypatch)
     gens = _spy_generators(monkeypatch)
     spilled = 0
     for case, (kw, ids, below_border, with_paths, without_paths) in ENGINE_PINS.items():
@@ -492,7 +485,7 @@ def test_window_overflow_spills_to_the_periods_end(p0, dc0, monkeypatch, window)
         cfg = StochConfig(**{"dt": 1e-3, **kw})
         spu = cfg.steps_per_unit()
         W = 1 if window == "one-step" else max(1, math.floor(spu * dc0.t_star) - 3)
-        monkeypatch.setattr(stochastic, "window_steps", lambda p, x0, cfg: W)
+        runs = _spy_windows(monkeypatch, W)
         for record_paths, digest in ((True, with_paths), (False, without_paths)):
             runs.clear()
             gens.clear()
@@ -529,9 +522,8 @@ def test_clock_spanning_phase_alone_spills(p0, dc0, monkeypatch):
         in_period.append(steps[inside] - np.rint(starts[inside] * spu).astype(np.int64))
     W = int(np.concatenate(in_period).max()) + 1
     assert spanning and W < spu
-    runs = _spy_windows(monkeypatch)
+    runs = _spy_windows(monkeypatch, W)
     gens = _spy_generators(monkeypatch)
-    monkeypatch.setattr(stochastic, "window_steps", lambda p, x0, cfg: W)
     res = simulate_batch(p0, dc0.x_star, cfg, ids)
     assert runs == [W]
     assert _check_spills(res, ids, gens, noisy=True) == spanning
@@ -568,8 +560,12 @@ def test_any_window_gives_the_bytes_of_whole_periods(p0, dc0, W, bridge, record_
     cfg = StochConfig(epsilon=0.3, dt=1e-2, horizon=5, seed=11, bridge_correction=bridge)
     spu = cfg.steps_per_unit()
     ids = [6, 1, 4, 9, 2, 7]
-    got = stochastic._simulate_windows(p0, x0, cfg, ids, record_paths, W)
-    ref = stochastic._simulate_windows(p0, x0, cfg, ids, record_paths, spu)
+    batches = []
+    for window in (W, spu):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stochastic, "window_steps", lambda p, x0, cfg: window)
+            batches.append(simulate_batch(p0, x0, cfg, ids, record_paths))
+    got, ref = batches
     assert _batch_digest(got) == _batch_digest(ref)
 
 
